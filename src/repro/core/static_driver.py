@@ -15,6 +15,9 @@ membership).  This driver executes the *same* Appendix-A rules
 3. soft state ages: entries missing refreshes go stale (t1) and are
    destroyed (t2), with one round = one refresh period.
 
+The round loop, membership and convergence live in
+:class:`~repro.core.round_driver.RoundDriver`, shared with the REUNITE
+driver; this module supplies HBH's walks, tables and data plane.
 ``converge()`` repeats rounds until the table state stops changing.
 ``distribute_data()`` then injects one data packet and records every
 link crossing and receiver delay — the measurement the paper's figures
@@ -24,10 +27,10 @@ are built from.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
 from typing import Deque, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from repro.core.messages import FusionMessage, JoinMessage, TreeMessage
+from repro.core.round_driver import MAX_CASCADE, RoundDriver
 from repro.core.rules import (
     FORWARD_ONLY,
     Consume,
@@ -41,81 +44,33 @@ from repro.core.rules import (
     process_join_at_source,
     process_tree,
 )
-from repro.core.tables import HbhChannelState, Mft, ProtocolTiming, ROUND_TIMING
-from repro.errors import ChannelError, ProtocolError, RoutingError
+from repro.core.tables import HbhChannelState, Mft, ProtocolTiming
+from repro.errors import ProtocolError, RoutingError
 from repro.metrics.distribution import DataDistribution
-from repro.obs.causal import (
-    DATA,
-    FUSION,
-    INITIAL_JOIN,
-    JOIN,
-    TREE,
-    CausalTracer,
-    Span,
-)
-from repro.obs.flight import FlightRecorder
+from repro.obs.causal import DATA, FUSION, JOIN, TREE, Span
 from repro.obs.profiling import profiled
-from repro.obs.registry import channel_label
-from repro.obs.timeline import ConvergenceMonitor, TreeTimeline
-from repro.routing.tables import UnicastRouting, shared_routing
-from repro.topology.model import NodeKind, Topology
 
 NodeId = Hashable
-
-#: Safety valve for in-round message cascades.
-_MAX_CASCADE = 100_000
 
 #: Sentinel for "origin generation not queried yet" during cache
 #: revalidation (``None`` is a legitimate answer: origin not cached).
 _UNKNOWN = object()
 
 
-class StaticHbh:
-    """One HBH channel driven round-by-round to convergence.
+class StaticHbh(RoundDriver):
+    """One HBH channel driven round-by-round to convergence."""
 
-    Node ids double as protocol addresses (the static driver never
-    leaves the topology layer).  Only multicast-capable *routers* apply
-    the HBH rules; hosts and unicast-only routers simply relay, which
-    is exactly the transparent-unicast-cloud property of the protocol.
-    """
+    protocol = "hbh"
+    unit = "channel"
+    state_cls = HbhChannelState
+    join_cls = JoinMessage
 
-    def __init__(
-        self,
-        topology: Topology,
-        source: NodeId,
-        routing: Optional[UnicastRouting] = None,
-        timing: ProtocolTiming = ROUND_TIMING,
-        group: str = "G",
-    ) -> None:
-        topology.kind(source)  # validates node existence
-        self.topology = topology
-        self.routing = routing or shared_routing(topology)
-        self.source = source
-        self.timing = timing
-        self.group = group
-        self.channel = ("hbh", source)
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.source_mft = Mft()
-        self.states: Dict[NodeId, HbhChannelState] = {}
-        self.receivers: Set[NodeId] = set()
-        #: Sorted membership, rebuilt on add/remove (run_round iterates
-        #: it every round; sorting per round is pure waste).
-        self._receivers_sorted: Optional[List[NodeId]] = None
-        self.round_no = 0
-        #: Count of rule-level events, exposed for overhead analysis.
-        self.messages_processed = 0
-        #: Rendered ``<S,G>`` label used by metrics and causal spans.
-        self.channel_name = channel_label(source, group)
-        #: Memoized :meth:`_applies_rules` verdicts.  Node kind and
-        #: multicast capability are fixed before a driver exists (every
-        #: ``set_multicast_capable`` call site in the experiments
-        #: configures the topology first), so the verdict is static for
-        #: the driver's lifetime.
-        self._rules_cache: Dict[NodeId, bool] = {}
         #: Memoized :meth:`_on_spt` verdicts, valid for one routing
-        #: generation; None generation (duck-typed learned-routing
-        #: views don't count generations) disables this cache.
+        #: generation.
         self._spt_cache: Dict[Tuple[NodeId, NodeId], bool] = {}
-        self._spt_generation: Optional[int] = None
         #: Precomputed walk plans for the untraced fast paths: the
         #: rule-applying hops of a route (with their full-path
         #: predecessors for ``arrived_from``, or the on-SPT verdicts a
@@ -126,14 +81,14 @@ class StaticHbh:
         self._tree_plans: Dict[
             Tuple[NodeId, NodeId], Tuple[Tuple[NodeId, NodeId], ...]
         ] = {}
+        #: The routing generation the three route-fact caches above
+        #: were last revalidated against (:meth:`_sync_plans`).
         self._plan_generation: Optional[int] = None
-        #: Per-entry origin dependencies of the three route-fact caches
-        #: above, as ``(origin, origin_generation)`` pairs captured at
-        #: build time.  When the routing substrate supports per-origin
-        #: generations (incremental :class:`UnicastRouting`), a global
-        #: generation bump revalidates each entry against its own
-        #: origins and keeps everything a fault did not touch; without
-        #: that support the caches still clear wholesale.
+        #: Per-entry origin dependencies of the three route-fact caches,
+        #: as ``(origin, origin_generation)`` pairs captured at build
+        #: time.  A global generation bump revalidates each entry
+        #: against its own origins and keeps everything a fault did not
+        #: touch.
         self._join_plan_deps: Dict[
             NodeId, Tuple[Tuple[NodeId, Optional[int]], ...]
         ] = {}
@@ -148,179 +103,29 @@ class StaticHbh:
         #: (no generation dependency; messages carry no routing facts).
         self._join_msg_cache: Dict[NodeId, JoinMessage] = {}
         self._tree_msg_cache: Dict[NodeId, TreeMessage] = {}
-        #: Memoized-path accessor when the routing substrate offers one
-        #: (UnicastRouting does; learned views walk next_hop instead).
-        self._route_path = getattr(self.routing, "path_tuple", None)
-        #: Optional causal tracer + flight recorder (attach_tracer).
-        #: None keeps every walk on the untraced fast path.
-        self.causal: Optional[CausalTracer] = None
-        self.flight: Optional[FlightRecorder] = None
-        #: Optional tree-dynamics timeline (attach_timeline).  None (or
-        #: a disabled timeline) costs one check per round — the walks
-        #: themselves are never touched; the timeline diffs table state
-        #: at round boundaries only.
-        self.timeline: Optional[TreeTimeline] = None
-        self._timeline_messages = 0
-
-    # ------------------------------------------------------------------
-    # Causal tracing (see repro.obs.causal)
-    # ------------------------------------------------------------------
-    def attach_tracer(self, tracer: Optional[CausalTracer],
-                      flight: Optional[FlightRecorder] = None) -> None:
-        """Wire a causal tracer (and optionally a flight recorder) into
-        every message walk; ``None`` detaches both."""
-        self.causal = tracer
-        if tracer is None:
-            self.flight = None
-            return
-        if flight is not None:
-            tracer.recorder = flight
-        recorder = tracer.recorder
-        self.flight = recorder if isinstance(recorder, FlightRecorder) else None
-
-    def attach_timeline(self, timeline: Optional[TreeTimeline],
-                        monitor: Optional[ConvergenceMonitor] = None
-                        ) -> None:
-        """Wire a tree-dynamics timeline (and optionally an online
-        convergence monitor) into the round loop; ``None`` detaches."""
-        self.timeline = timeline
-        self._timeline_messages = self.messages_processed
-        if timeline is not None and monitor is not None:
-            timeline.attach_monitor(monitor)
-        if timeline is not None and timeline.monitor is not None:
-            timeline.monitor.watch("hbh", self.channel_name)
-
-    def _span(self, name: str, node: NodeId, target: NodeId = None,
-              parent: Optional[Span] = None,
-              trace_id: Optional[str] = None) -> Optional[Span]:
-        """Open a span when tracing is on; a single None/flag check —
-        and None back — when it is off."""
-        causal = self.causal
-        if causal is None or not causal.enabled:
-            return None
-        return causal.begin(name, node, self.now, self.channel_name,
-                            trace_id=trace_id, parent=parent, target=target)
-
-    @staticmethod
-    def _stamp(message, span: Optional[Span]):
-        """Copy the span identity onto a control message (no-op copy
-        elided entirely when untraced)."""
-        if span is None:
-            return message
-        return replace(message, trace_id=span.trace_id, span_id=span.span_id)
-
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    def add_receiver(self, receiver: NodeId) -> None:
-        """Join ``receiver`` to the channel.
-
-        The receiver's first join is sent immediately and — per
-        Section 3.1 — travels uninterceptable to the source.
-        """
-        self.topology.kind(receiver)
-        if receiver == self.source:
-            raise ChannelError("the source cannot join its own channel")
-        if receiver in self.receivers:
-            raise ChannelError(f"receiver {receiver} already joined")
-        self.receivers.add(receiver)
-        self._receivers_sorted = None
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            timeline.perturb(self.now, "hbh", self.channel_name,
-                             node=receiver, detail="join")
-        span = self._span(INITIAL_JOIN, receiver, target=receiver)
-        join = self._stamp(
-            JoinMessage(self.channel, receiver, initial=True), span
-        )
-        self._walk_join(receiver, join, span)
-
-    def remove_receiver(self, receiver: NodeId) -> None:
-        """Leave the channel: the receiver just stops sending joins
-        (Section 2.1); its state ages out over subsequent rounds."""
-        try:
-            self.receivers.remove(receiver)
-        except KeyError:
-            raise ChannelError(f"receiver {receiver} is not joined") from None
-        self._receivers_sorted = None
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            timeline.perturb(self.now, "hbh", self.channel_name,
-                             node=receiver, detail="leave")
 
     # ------------------------------------------------------------------
     # Rounds
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Virtual time: the current round number."""
-        return float(self.round_no)
-
-    def run_round(self) -> None:
-        """One protocol period: joins, tree/fusion cascade, aging."""
-        self.round_no += 1
-        receivers = self._receivers_sorted
-        if receivers is None:
-            receivers = self._receivers_sorted = sorted(self.receivers)
+    def _join_phase(self, receivers: List[NodeId]) -> None:
+        """Traced rounds walk every join hop by hop; untraced ones
+        dispatch straight to the fast walk, with one tracing/plan check
+        for the whole round."""
         causal = self.causal
-        if (causal is None or not causal.enabled) and self._plans_current():
-            # Untraced steady state: dispatch straight to the fast
-            # walk, one tracing/plan check for the whole round.
-            now = float(self.round_no)
-            channel = self.channel
-            fast = self._walk_join_fast
-            msg_cache = self._join_msg_cache
-            for receiver in receivers:
-                message = msg_cache.get(receiver)
-                if message is None:
-                    message = JoinMessage(channel, receiver)
-                    msg_cache[receiver] = message
-                fast(receiver, message, now)
-        else:
-            for receiver in receivers:
-                span = self._span(JOIN, receiver, target=receiver)
-                self._walk_join(
-                    receiver,
-                    self._stamp(JoinMessage(self.channel, receiver), span),
-                    span,
-                )
-        self._tree_phase()
-        self._expire()
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            self._observe_timeline(timeline)
-        if self.flight is not None:
-            watermark = self.causal.next_id if self.causal is not None else 0
-            self.flight.snapshot(
-                self.channel_name, self.now, f"round {self.round_no}",
-                self._snapshot(), span_watermark=watermark,
-            )
-
-    @profiled("hbh.converge")
-    def converge(self, max_rounds: int = 40, settle_rounds: int = 2) -> int:
-        """Run rounds until the tree is stable; returns rounds executed.
-
-        Stability = the structural snapshot unchanged for
-        ``settle_rounds`` consecutive rounds.  Raises
-        :class:`ProtocolError` if ``max_rounds`` pass without
-        convergence (a rule bug, not a tuning matter).
-        """
-        stable = 0
-        previous = self._snapshot()
-        for executed in range(1, max_rounds + 1):
-            self.run_round()
-            current = self._snapshot()
-            if current == previous:
-                stable += 1
-                if stable >= settle_rounds:
-                    return executed
-            else:
-                stable = 0
-                previous = current
-        raise ProtocolError(
-            f"HBH did not converge within {max_rounds} rounds "
-            f"({len(self.receivers)} receivers on {self.topology.name!r})"
-        )
+        if causal is not None and causal.enabled:
+            super()._join_phase(receivers)
+            return
+        self._sync_plans()
+        now = float(self.round_no)
+        channel = self.channel
+        fast = self._walk_join_fast
+        msg_cache = self._join_msg_cache
+        for receiver in receivers:
+            message = msg_cache.get(receiver)
+            if message is None:
+                message = JoinMessage(channel, receiver)
+                msg_cache[receiver] = message
+            fast(receiver, message, now)
 
     def _snapshot(self) -> Tuple:
         """A hashable structural view of all channel state.
@@ -357,15 +162,11 @@ class StaticHbh:
                     entry.forced_stale or (now - entry.refreshed_at) >= t1))
         return tuple(items)
 
-    def _observe_timeline(self, timeline: TreeTimeline) -> None:
-        """Feed the round's table state into the tree-dynamics
-        timeline: one structural row diff at the round boundary (the
-        walks themselves stay on the untraced fast path) plus this
-        round's control-message count into the windowed load series.
-        Mark flags use the same freshness predicate as
-        :meth:`_snapshot`, so an expired mark is a fusion change."""
-        now, timing = self.now, self.timing
-        t1 = timing.t1
+    def _timeline_rows(self) -> Tuple[List[Tuple], List[Tuple]]:
+        """Table rows plus the fusion-marked subset.  Mark flags use the
+        same freshness predicate as :meth:`_snapshot`, so an expired
+        mark is a fusion change."""
+        now, t1 = self.now, self.timing.t1
         rows: List[Tuple] = []
         marks: List[Tuple] = []
         states = self.states
@@ -389,100 +190,36 @@ class StaticHbh:
             marked_at = entry.marked_at
             if marked_at is not None and (now - marked_at) < t1:
                 marks.append(row)
-        timeline.observe_tables(now, "hbh", self.channel_name, rows, marks)
-        timeline.control(now, "hbh", self.channel_name,
-                         self.messages_processed - self._timeline_messages)
-        self._timeline_messages = self.messages_processed
-        timeline.poll(now)
+        return rows, marks
 
-    def _expire(self) -> None:
-        now, timing = self.now, self.timing
+    def _expire_source(self, now: float, timing: ProtocolTiming) -> None:
         self.source_mft.expire(now, timing)
-        emptied = []
-        for node, state in self.states.items():
-            state.expire(now, timing)
-            if not state.in_tree:
-                emptied.append(node)
-        for node in emptied:
-            del self.states[node]
+
+    def _source_table(self) -> Mft:
+        return self.source_mft
 
     # ------------------------------------------------------------------
-    # Message walks (hop-by-hop over unicast routes)
+    # Route facts (memoized per routing generation)
     # ------------------------------------------------------------------
-    def _state_at(self, node: NodeId) -> HbhChannelState:
-        state = self.states.get(node)
-        if state is None:
-            state = HbhChannelState()
-            self.states[node] = state
-        return state
-
-    def _applies_rules(self, node: NodeId) -> bool:
-        """HBH rules run at multicast-capable transit routers only.
-        Memoized: called once per hop of every walk, against topology
-        facts that are fixed before the driver is built."""
-        cached = self._rules_cache.get(node)
-        if cached is None:
-            cached = (
-                node != self.source
-                and self.topology.kind(node) is NodeKind.ROUTER
-                and self.topology.is_multicast_capable(node)
-            )
-            self._rules_cache[node] = cached
-        return cached
-
-    def _hops(self, origin: NodeId, destination: NodeId):
-        """The hop sequence ``origin -> destination`` *excluding*
-        ``origin`` — what a message walk visits.  Uses the routing
-        substrate's memoized path when it has one; otherwise chains
-        ``next_hop`` exactly as the walks used to, so learned-routing
-        views keep their step-at-a-time semantics."""
-        if origin == destination:
-            return ()
-        route_path = self._route_path
-        if route_path is not None:
-            return route_path(origin, destination)[1:]
-        hops = []
-        current = origin
-        routing = self.routing
-        while current != destination:
-            current = routing.next_hop(current, destination)
-            hops.append(current)
-        return hops
-
-    def _plans_current(self) -> bool:
-        """Whether the generation-keyed walk plans are usable (and
-        fresh).  False for routing substrates without a ``generation``
-        counter — learned views change routes mid-convergence, so their
-        walks must re-resolve every hop."""
-        generation = getattr(self.routing, "generation", None)
-        if generation is None:
-            return False
+    def _sync_plans(self) -> None:
+        """Bring the walk plans and on-SPT verdicts up to the current
+        routing generation, revalidating them if it has moved."""
+        generation = self.routing.generation
         if generation != self._plan_generation:
             self._revalidate_route_caches()
-            self._spt_generation = generation
             self._plan_generation = generation
-        return True
 
     def _revalidate_route_caches(self) -> None:
         """The routing generation moved: drop exactly the cached route
         facts whose origin trees changed.
 
         Entries are checked against their recorded ``(origin,
-        generation)`` dependencies via ``routing.origin_generation``;
-        substrates without per-origin generations fall back to the old
-        wholesale clear.  Each origin is queried once (the query
-        triggers its lazy repair, so a clean origin costs one repaired
-        no-op and every plan over it survives the fault).
+        generation)`` dependencies via ``routing.origin_generation``.
+        Each origin is queried once (the query triggers its lazy
+        repair, so a clean origin costs one repaired no-op and every
+        plan over it survives the fault).
         """
-        origin_gen = getattr(self.routing, "origin_generation", None)
-        if origin_gen is None:
-            self._join_plans.clear()
-            self._tree_plans.clear()
-            self._spt_cache.clear()
-            self._join_plan_deps.clear()
-            self._tree_plan_deps.clear()
-            self._spt_deps.clear()
-            return
+        origin_gen = self.routing.origin_generation
         fresh: Dict[NodeId, Optional[int]] = {}
 
         def stale(deps) -> bool:
@@ -514,9 +251,7 @@ class StaticHbh:
         origin whose table a just-built route fact consulted.  Called
         immediately after the fact is computed, so every table is built
         and synced — each query is one integer compare."""
-        origin_gen = getattr(self.routing, "origin_generation", None)
-        if origin_gen is None:
-            return ()
+        origin_gen = self.routing.origin_generation
         deps: Dict[NodeId, Optional[int]] = {}
         for node in nodes:
             if node not in deps:
@@ -528,18 +263,8 @@ class StaticHbh:
         to ``receiver``?  The routing fact behind join rule 3's premise
         (a branching node serves receivers on forward shortest paths);
         unreachable endpoints — e.g. mid-fault — count as off-path.
-
-        Memoized per routing generation; substrates without a
-        ``generation`` counter (learned-routing views) are always
-        computed fresh, since their answers change mid-convergence.
-        """
-        generation = getattr(self.routing, "generation", None)
-        if generation is None:
-            return self._compute_on_spt(node, receiver)
-        if generation != self._spt_generation:
-            self._revalidate_route_caches()
-            self._spt_generation = generation
-            self._plan_generation = generation
+        Memoized per routing generation."""
+        self._sync_plans()
         key = (node, receiver)
         cached = self._spt_cache.get(key)
         if cached is None:
@@ -558,51 +283,43 @@ class StaticHbh:
         except RoutingError:
             return False
 
+    # ------------------------------------------------------------------
+    # Message walks (hop-by-hop over unicast routes)
+    # ------------------------------------------------------------------
     def _walk_join(self, origin: NodeId, message: JoinMessage,
                    span: Optional[Span] = None) -> None:
         """Walk a join from ``origin`` toward the source, applying the
-        join rules at every HBH router until interception or arrival."""
-        if span is None and message.joiner == origin \
-                and self._plans_current():
+        join rules at every HBH router until interception or arrival.
+
+        Untraced joins take the plan-driven :meth:`_walk_join_fast`;
+        traced ones walk hop by hop, recording every hop and table
+        effect on ``span``."""
+        if span is None:
+            self._sync_plans()
             self._walk_join_fast(origin, message, float(self.round_no))
             return
         self.messages_processed += 1
-        # Hoist the per-hop lookups (self.* attribute loads, the `now`
-        # property, the rules-cache indirection) into locals.
         now = float(self.round_no)
         source = self.source
-        timing = self.timing
-        states = self.states
+        causal = self.causal
         joiner = message.joiner
-        rules_cache = self._rules_cache
         for current in self._hops(origin, source):
-            if span is not None:
-                span.hops.append(current)
+            span.hops.append(current)
             if current == source:
-                if span is not None:
-                    existed = joiner in self.source_mft
+                existed = joiner in self.source_mft
                 process_join_at_source(self.source_mft, message, now)
-                if span is not None:
-                    verb = "refresh-join" if existed else "add"
-                    self.causal.effect(span, source, "source-mft",
-                                       joiner, verb, now)
-                    self.causal.finish(
-                        span,
-                        f"reached source (MFT entry {joiner} "
-                        f"{'refreshed' if existed else 'added'})",
-                    )
+                causal.effect(span, source, "source-mft", joiner,
+                              "refresh-join" if existed else "add", now)
+                causal.finish(
+                    span,
+                    f"reached source (MFT entry {joiner} "
+                    f"{'refreshed' if existed else 'added'})",
+                )
                 return
-            applies = rules_cache.get(current)
-            if applies is None:
-                applies = self._applies_rules(current)
-            if not applies:
+            if not self._applies_rules(current):
                 continue
-            state = states.get(current)
-            if state is None:
-                state = HbhChannelState()
-                states[current] = state
             actions = process_join(
-                state, message, current, now, timing,
+                self._state_at(current), message, current, now, self.timing,
                 on_spt=self._on_spt(current, joiner),
             )
             consumed = False
@@ -611,16 +328,12 @@ class StaticHbh:
                 if cls is Consume:
                     consumed = True
                 elif cls is OriginateJoin:
-                    child = None
-                    if span is not None:
-                        # Rule 3: the interceptor refreshed the joiner's
-                        # entry and joins the channel itself upstream.
-                        self.causal.effect(span, current, "mft",
-                                           joiner, "refresh-join", now)
-                        child = self.causal.begin(
-                            JOIN, current, now, self.channel_name,
-                            parent=span, target=action.joiner,
-                        )
+                    # Rule 3: the interceptor refreshed the joiner's
+                    # entry and joins the channel itself upstream.
+                    causal.effect(span, current, "mft", joiner,
+                                  "refresh-join", now)
+                    child = self._span(JOIN, current, target=action.joiner,
+                                       parent=span)
                     self._walk_join(
                         current,
                         self._stamp(JoinMessage(self.channel, action.joiner),
@@ -630,10 +343,7 @@ class StaticHbh:
                 elif cls is not Forward:  # pragma: no cover
                     raise ProtocolError(f"unexpected join action {action!r}")
             if consumed:
-                if span is not None:
-                    self.causal.finish(
-                        span, f"intercepted by {current} (join rule 3)"
-                    )
+                causal.finish(span, f"intercepted by {current} (join rule 3)")
                 return
 
     def _walk_join_fast(self, origin: NodeId, message: JoinMessage,
@@ -653,8 +363,7 @@ class StaticHbh:
         start at the receiver; rule-3 re-originations carry the
         interceptor's own address), so the per-hop on-SPT verdicts are
         a function of the origin alone and live *inside* the plan.
-        Callers must have checked :meth:`_plans_current` (and, from the
-        generic walk, the joiner invariant) this round.
+        Callers must have called :meth:`_sync_plans` this round.
         """
         source = self.source
         timing = self.timing
@@ -742,11 +451,12 @@ class StaticHbh:
         steps = 0
         popleft = queue.popleft
         seen_add = seen.add
-        fast_ok = not tracing and self._plans_current()
+        if not tracing:
+            self._sync_plans()
         now = float(self.round_no)
         while queue:
             steps += 1
-            if steps > _MAX_CASCADE:  # pragma: no cover - safety valve
+            if steps > MAX_CASCADE:  # pragma: no cover - safety valve
                 raise ProtocolError("tree/fusion cascade did not terminate")
             origin, message, parent = popleft()
             is_tree = isinstance(message, TreeMessage)
@@ -772,59 +482,39 @@ class StaticHbh:
                     )
                 message = self._stamp(message, span)
             if is_tree:
-                if fast_ok:
+                if span is None:
                     self._walk_tree_fast(origin, message, queue, now)
                 else:
                     self._walk_tree(origin, message, queue, span)
             else:
                 self._walk_fusion(origin, message, queue, span)
 
-    def _walk_tree(
-        self,
-        origin: NodeId,
-        message: TreeMessage,
-        queue: Deque,
-        span: Optional[Span] = None,
-    ) -> None:
-        """Walk ``tree(S, target)`` from ``origin`` toward its target,
-        applying the tree rules at every HBH router on the way."""
+    def _walk_tree(self, origin: NodeId, message: TreeMessage,
+                   queue: Deque, span: Span) -> None:
+        """Traced walk of ``tree(S, target)`` from ``origin`` toward its
+        target, applying the tree rules at every HBH router on the way
+        and recording every hop and table effect on ``span`` (untraced
+        trees take :meth:`_walk_tree_fast`)."""
         self.messages_processed += 1
-        # Hot loop (same treatment as _walk_join): locals for the
-        # per-hop lookups, one rules-cache probe per hop.
         now = float(self.round_no)
-        timing = self.timing
+        causal = self.causal
         channel = self.channel
-        states = self.states
-        queue_append = queue.append
         target_node = message.target
-        rules_cache = self._rules_cache
         previous = origin
         for current in self._hops(origin, target_node):
-            if span is not None:
-                span.hops.append(current)
-            applies = rules_cache.get(current)
-            if applies is None:
-                applies = self._applies_rules(current)
-            if not applies:
+            span.hops.append(current)
+            if not self._applies_rules(current):
                 if current == target_node:
                     # Arrived at a host/receiver (or the source): consumed.
-                    if span is not None:
-                        self.causal.finish(span, f"reached {target_node}")
+                    causal.finish(span, f"reached {target_node}")
                     return
                 previous = current
                 continue
-            state = states.get(current)
-            if state is None:
-                state = HbhChannelState()
-                states[current] = state
-            if span is not None:
-                before = self._tree_facts(state, target_node)
-            actions = process_tree(
-                state, message, current, now,
-                timing, arrived_from=previous,
-            )
-            if span is not None:
-                self._tree_effects(span, current, state, target_node, before)
+            state = self._state_at(current)
+            before = self._tree_facts(state, target_node)
+            actions = process_tree(state, message, current, now,
+                                   self.timing, arrived_from=previous)
+            self._tree_effects(span, current, state, target_node, before)
             consumed = False
             for action in actions:
                 cls = action.__class__
@@ -832,40 +522,35 @@ class StaticHbh:
                     consumed = True
                 elif cls is OriginateTree:
                     if action.target != current:
-                        queue_append(
-                            (current,
-                             TreeMessage(channel, action.target),
+                        queue.append(
+                            (current, TreeMessage(channel, action.target),
                              span)
                         )
                 elif cls is OriginateFusion:
-                    queue_append(
-                        (
-                            current,
-                            FusionMessage(
-                                channel, action.receivers, sender=current
-                            ),
-                            span,
-                        )
+                    queue.append(
+                        (current,
+                         FusionMessage(channel, action.receivers,
+                                       sender=current),
+                         span)
                     )
                 elif cls is not Forward:  # pragma: no cover
                     raise ProtocolError(f"unexpected tree action {action!r}")
             if consumed:
-                if span is not None:
-                    if before[0]:  # the target held an MFT: rule 1
-                        regenerated = sum(
-                            1 for a in actions if isinstance(a, OriginateTree)
-                        )
-                        self.causal.finish(
-                            span,
-                            f"delivered to branching node {current} "
-                            f"(tree rule 1: {regenerated} trees regenerated)",
-                        )
-                    else:
-                        self.causal.finish(span, f"reached {target_node}")
+                if before[0]:  # the target held an MFT: rule 1
+                    regenerated = sum(
+                        1 for a in actions if isinstance(a, OriginateTree)
+                    )
+                    causal.finish(
+                        span,
+                        f"delivered to branching node {current} "
+                        f"(tree rule 1: {regenerated} trees regenerated)",
+                    )
+                else:
+                    causal.finish(span, f"reached {target_node}")
                 return
             previous = current
-        if span is not None and not span.finished:
-            self.causal.finish(span, f"reached {target_node}")
+        if not span.finished:
+            causal.finish(span, f"reached {target_node}")
 
     def _walk_tree_fast(self, origin: NodeId, message: TreeMessage,
                         queue: Deque, now: float) -> None:
@@ -873,8 +558,8 @@ class StaticHbh:
         :meth:`_walk_join_fast`): only the rule-applying hops do
         anything, and each needs its full-path predecessor as
         ``arrived_from`` (the upstream interface the tree message
-        arrived on).  Callers must have checked :meth:`_plans_current`
-        this round."""
+        arrived on).  Callers must have called :meth:`_sync_plans` this
+        round."""
         self.messages_processed += 1
         timing = self.timing
         channel = self.channel
@@ -888,7 +573,7 @@ class StaticHbh:
             applies = self._applies_rules
             steps = []
             prev = origin
-            hops = tuple(self._hops(origin, target_node))
+            hops = self._hops(origin, target_node)
             for hop in hops:
                 if applies(hop):
                     steps.append((hop, prev))
@@ -1077,12 +762,7 @@ class StaticHbh:
         expanded: Set[NodeId] = set()
         root = self._span(DATA, self.source)
         for target in self.source_mft.data_targets(self.now, self.timing):
-            child = None
-            if root is not None:
-                child = self.causal.begin(
-                    DATA, self.source, self.now, self.channel_name,
-                    parent=root, target=target,
-                )
+            child = self._span(DATA, self.source, target=target, parent=root)
             self._walk_data(self.source, target, 0.0, distribution,
                             expanded, child)
         if root is not None:
@@ -1128,12 +808,7 @@ class StaticHbh:
             for address in state.mft.data_targets(self.now, self.timing):
                 if address == current:
                     continue  # a self-entry is the local delivery above
-                child = None
-                if span is not None:
-                    child = self.causal.begin(
-                        DATA, current, self.now, self.channel_name,
-                        parent=span, target=address,
-                    )
+                child = self._span(DATA, current, target=address, parent=span)
                 copies += 1
                 self._walk_data(
                     current, address, elapsed, distribution, expanded, child
@@ -1151,23 +826,7 @@ class StaticHbh:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def branching_nodes(self) -> List[NodeId]:
-        """Routers currently holding an MFT (the tree's branch points)."""
-        return sorted(
-            node for node, state in self.states.items() if state.is_branching
-        )
-
     def tree_nodes(self) -> List[NodeId]:
         """All routers holding any state for the channel."""
         return sorted(node for node, state in self.states.items()
                       if state.in_tree)
-
-    def describe(self) -> str:
-        """Human-readable dump of the converged tree (examples/tests)."""
-        lines = [f"HBH channel {self.channel}, round {self.round_no}"]
-        lines.append(f"  source {self.source}: {self.source_mft!r}")
-        for node in sorted(self.states):
-            state = self.states[node]
-            table = state.mft if state.mft is not None else state.mct
-            lines.append(f"  node {node}: {table!r}")
-        return "\n".join(lines)

@@ -325,7 +325,7 @@ def _churn_cell(scenario_name: str, protocol: str, shard: int,
     faults = scenario.build_faults(topology, source, sites, seed)
     fault_bridge = None
     if faults is not None:
-        fault_player = RoundFaultPlayer(topology, routing, faults)
+        fault_player = RoundFaultPlayer(topology, faults)
         fault_bridge = _FaultBridge(fault_player, runs, dirty)
         stream = faults.merge(stream)
 

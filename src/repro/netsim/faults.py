@@ -39,7 +39,6 @@ from typing import (
 from repro._rand import derive_rng, make_rng
 from repro.errors import SimulationError
 from repro.obs.registry import MetricsRegistry
-from repro.routing.tables import UnicastRouting
 from repro.topology.model import NodeKind, Topology
 
 NodeId = Hashable
@@ -416,7 +415,7 @@ class FaultInjector:
 # ----------------------------------------------------------------------
 class RoundFaultPlayer:
     """Applies the topology-level events of a schedule to a bare
-    ``Topology`` + ``UnicastRouting`` pair, at round granularity.
+    ``Topology``, at round granularity.
 
     The static drivers have no wire, so the packet-level perturbations
     (loss/jitter/duplication/reordering) are counted as ignored rather
@@ -428,14 +427,12 @@ class RoundFaultPlayer:
     #: Same sentinel as :attr:`repro.netsim.network.Network.FAILED_LINK_COST`.
     FAILED_LINK_COST = 1e12
 
-    def __init__(self, topology: Topology, routing: UnicastRouting,
-                 schedule: FaultSchedule,
+    def __init__(self, topology: Topology, schedule: FaultSchedule,
                  on_crash: Optional[Callable[[NodeId], None]] = None,
                  on_restart: Optional[Callable[[NodeId], None]] = None
                  ) -> None:
         schedule.validate_against(topology)
         self.topology = topology
-        self.routing = routing
         self.schedule = schedule
         self.on_crash = on_crash
         self.on_restart = on_restart
@@ -459,13 +456,11 @@ class RoundFaultPlayer:
         """Apply every not-yet-applied event with ``time <= now``;
         returns how many were applied.
 
-        A self-tracking routing substrate (``auto_tracking``, i.e.
-        :class:`~repro.routing.tables.UnicastRouting`) observes the
-        ``set_cost`` calls directly and repairs affected origin trees
-        lazily; anything else is invalidated wholesale once, as before.
+        Routing needs no call: :class:`~repro.routing.tables.UnicastRouting`
+        observes the ``set_cost`` calls and repairs affected origin
+        trees lazily.
         """
         applied = 0
-        changed = False
         while (self._cursor < len(self._pending)
                and self._pending[self._cursor].time <= now):
             event = self._pending[self._cursor]
@@ -473,10 +468,8 @@ class RoundFaultPlayer:
             if not isinstance(event, TOPOLOGY_EVENTS):
                 self.ignored.append(event)
                 continue
-            changed |= self._dispatch(event)
+            self._dispatch(event)
             applied += 1
-        if changed and not getattr(self.routing, "auto_tracking", False):
-            self.routing.invalidate()
         return applied
 
     def finish(self) -> int:
@@ -494,23 +487,21 @@ class RoundFaultPlayer:
         self.topology.set_cost(key[1], key[0], self.FAILED_LINK_COST)
         return True
 
-    def _restore(self, a: NodeId, b: NodeId) -> bool:
+    def _restore(self, a: NodeId, b: NodeId) -> None:
         key = _link_key(a, b)
         saved = self._saved.pop(key, None)
-        if saved is None:
-            return False
-        self.topology.set_cost(key[0], key[1], saved[0])
-        self.topology.set_cost(key[1], key[0], saved[1])
-        return True
+        if saved is not None:
+            self.topology.set_cost(key[0], key[1], saved[0])
+            self.topology.set_cost(key[1], key[0], saved[1])
 
-    def _dispatch(self, event: FaultEvent) -> bool:
+    def _dispatch(self, event: FaultEvent) -> None:
         if isinstance(event, LinkDown):
-            return self._cut(event.a, event.b)
-        if isinstance(event, LinkUp):
-            return self._restore(event.a, event.b)
-        if isinstance(event, RouterCrash):
+            self._cut(event.a, event.b)
+        elif isinstance(event, LinkUp):
+            self._restore(event.a, event.b)
+        elif isinstance(event, RouterCrash):
             if event.node in self._crashed:
-                return False
+                return
             cut = []
             for neighbor in self.topology.neighbors(event.node):
                 if self._cut(event.node, neighbor):
@@ -518,17 +509,14 @@ class RoundFaultPlayer:
             self._crashed[event.node] = cut
             if self.on_crash is not None:
                 self.on_crash(event.node)
-            return True
-        if isinstance(event, RouterRestart):
+        elif isinstance(event, RouterRestart):
             cut = self._crashed.pop(event.node, None)
             if cut is None:
-                return False
+                return
             for key in cut:
                 self._restore(*key)
             if self.on_restart is not None:
                 self.on_restart(event.node)
-            return True
-        return False  # pragma: no cover - filtered by advance()
 
 
 # ----------------------------------------------------------------------

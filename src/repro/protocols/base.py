@@ -16,6 +16,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, List, Optional, Set
 
+from repro.core.tables import ProtocolTiming, ROUND_TIMING
 from repro.errors import ExperimentError
 from repro.metrics.distribution import DataDistribution
 from repro.obs.registry import MetricsRegistry, channel_label
@@ -216,6 +217,50 @@ class MulticastProtocol(abc.ABC):
             f"{type(self).__name__}(source={self.source}, "
             f"receivers={len(self.receivers)})"
         )
+
+
+class RoundDriverProtocol(MulticastProtocol):
+    """A rule-driven protocol (HBH, REUNITE) whose conversation is one
+    :class:`~repro.core.round_driver.RoundDriver`.
+
+    Subclasses set :attr:`driver_cls` and define ``add_receiver``,
+    ``remove_receiver``, ``converge`` and ``distribute_data`` in their
+    own bodies, so each protocol's entry points stay distinct functions
+    that profilers can wrap per protocol.
+    """
+
+    #: The :class:`~repro.core.round_driver.RoundDriver` subclass.
+    driver_cls: type
+
+    def __init__(self, topology: Topology, source: NodeId,
+                 routing: Optional[UnicastRouting] = None,
+                 timing: ProtocolTiming = ROUND_TIMING,
+                 group: str = "G") -> None:
+        super().__init__(topology, source, routing, group=group)
+        self.driver = self.driver_cls(topology, source, routing=self.routing,
+                                      timing=timing, group=group)
+
+    def control_message_count(self) -> int:
+        return self.driver.messages_processed
+
+    def branching_nodes(self) -> List[NodeId]:
+        return self.driver.branching_nodes()
+
+    def attach_tracer(self, tracer, flight=None) -> bool:
+        self.driver.attach_tracer(tracer, flight=flight)
+        return True
+
+    def causal_tracer(self):
+        return self.driver.causal
+
+    def attach_timeline(self, timeline, monitor=None) -> bool:
+        self.driver.attach_timeline(timeline, monitor=monitor)
+        return True
+
+    def finish_timeline(self) -> None:
+        timeline = self.driver.timeline
+        if timeline is not None and timeline.monitor is not None:
+            timeline.monitor.finalize(self.driver.now)
 
 
 ProtocolFactory = Callable[..., MulticastProtocol]

@@ -5,29 +5,20 @@ experiment harness can build all four of the paper's protocols by name.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Hashable
 
 from repro.core.static_driver import StaticHbh
-from repro.core.tables import ProtocolTiming, ROUND_TIMING
 from repro.metrics.distribution import DataDistribution
-from repro.protocols.base import MulticastProtocol, register_protocol
-from repro.routing.tables import UnicastRouting
-from repro.topology.model import Topology
+from repro.protocols.base import RoundDriverProtocol, register_protocol
 
 NodeId = Hashable
 
 
 @register_protocol("hbh")
-class HbhProtocol(MulticastProtocol):
+class HbhProtocol(RoundDriverProtocol):
     """HBH (the paper's contribution), round-driven to convergence."""
 
-    def __init__(self, topology: Topology, source: NodeId,
-                 routing: Optional[UnicastRouting] = None,
-                 timing: ProtocolTiming = ROUND_TIMING,
-                 group: str = "G") -> None:
-        super().__init__(topology, source, routing, group=group)
-        self.driver = StaticHbh(topology, source, routing=self.routing,
-                                timing=timing, group=group)
+    driver_cls = StaticHbh
 
     def add_receiver(self, receiver: NodeId) -> None:
         self.driver.add_receiver(receiver)
@@ -43,29 +34,7 @@ class HbhProtocol(MulticastProtocol):
     def distribute_data(self) -> DataDistribution:
         return self.driver.distribute_data()
 
-    def control_message_count(self) -> int:
-        return self.driver.messages_processed
-
-    def branching_nodes(self) -> List[NodeId]:
-        return self.driver.branching_nodes()
-
     def soft_state(self):
         from repro.verify.state import hbh_soft_state
 
         return hbh_soft_state(self.driver)
-
-    def attach_tracer(self, tracer, flight=None) -> bool:
-        self.driver.attach_tracer(tracer, flight=flight)
-        return True
-
-    def causal_tracer(self):
-        return self.driver.causal
-
-    def attach_timeline(self, timeline, monitor=None) -> bool:
-        self.driver.attach_timeline(timeline, monitor=monitor)
-        return True
-
-    def finish_timeline(self) -> None:
-        timeline = self.driver.timeline
-        if timeline is not None and timeline.monitor is not None:
-            timeline.monitor.finalize(self.driver.now)

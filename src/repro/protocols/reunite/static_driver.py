@@ -1,4 +1,5 @@
-"""Round-based REUNITE driver (mirror of the HBH static driver).
+"""Round-based REUNITE driver (the HBH static driver's sibling on the
+shared :class:`~repro.core.round_driver.RoundDriver`).
 
 One round = one protocol period: every receiver's periodic join walks
 toward the source under the interception rules; the source then emits
@@ -11,18 +12,15 @@ these rules — nothing is special-cased.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
-from typing import Deque, Dict, Hashable, List, Optional, Set, Tuple
+from typing import Deque, Hashable, List, Optional, Set, Tuple
 
+from repro.core.round_driver import MAX_CASCADE, RoundDriver
 from repro.core.rules import Consume, Forward
-from repro.core.tables import ProtocolTiming, ROUND_TIMING
-from repro.errors import ChannelError, ProtocolError
+from repro.core.tables import ProtocolTiming
+from repro.errors import ProtocolError
 from repro.metrics.distribution import DataDistribution
-from repro.obs.causal import DATA, INITIAL_JOIN, JOIN, TREE, CausalTracer, Span
-from repro.obs.flight import FlightRecorder
+from repro.obs.causal import DATA, TREE, Span
 from repro.obs.profiling import profiled
-from repro.obs.registry import channel_label
-from repro.obs.timeline import ConvergenceMonitor, TreeTimeline
 from repro.protocols.reunite.messages import ReuniteJoin, ReuniteTree
 from repro.protocols.reunite.rules import (
     RegenerateTree,
@@ -30,182 +28,33 @@ from repro.protocols.reunite.rules import (
     process_join_at_source,
     process_tree,
 )
-from repro.protocols.reunite.tables import ReuniteState
-from repro.routing.tables import UnicastRouting, shared_routing
-from repro.topology.model import NodeKind, Topology
+from repro.protocols.reunite.tables import ReuniteMft, ReuniteState
 
 NodeId = Hashable
 
-_MAX_CASCADE = 100_000
 
+class StaticReunite(RoundDriver):
+    """One REUNITE conversation driven round-by-round to convergence.
 
-class StaticReunite:
-    """One REUNITE conversation driven round-by-round to convergence."""
+    Unlike HBH, REUNITE has no first-join exemption: a receiver's
+    first join may be intercepted anywhere in the existing tree (the
+    root of the Fig. 2 problem), and a leaving receiver's upstream
+    state decays while marked tree messages reconfigure the branch
+    (Fig. 2(b-d)).
+    """
 
-    def __init__(
-        self,
-        topology: Topology,
-        source: NodeId,
-        routing: Optional[UnicastRouting] = None,
-        timing: ProtocolTiming = ROUND_TIMING,
-        group: str = "G",
-    ) -> None:
-        topology.kind(source)
-        self.topology = topology
-        self.routing = routing or shared_routing(topology)
-        self.source = source
-        self.timing = timing
-        self.group = group
-        self.channel = ("reunite", source)
+    protocol = "reunite"
+    unit = "conversation"
+    state_cls = ReuniteState
+    join_cls = ReuniteJoin
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.source_state = ReuniteState()
-        self.states: Dict[NodeId, ReuniteState] = {}
-        self.receivers: Set[NodeId] = set()
-        self.round_no = 0
-        self.messages_processed = 0
-        self.channel_name = channel_label(source, group)
-        #: Memoized-path accessor when the routing substrate offers one
-        #: (UnicastRouting does, repaired incrementally under faults;
-        #: learned views walk next_hop step by step instead).
-        self._route_path = getattr(self.routing, "path_tuple", None)
-        #: Optional causal tracer + flight recorder (attach_tracer);
-        #: None keeps every walk on the untraced fast path.
-        self.causal: Optional[CausalTracer] = None
-        self.flight: Optional[FlightRecorder] = None
-        #: Optional tree-dynamics timeline (attach_timeline): one check
-        #: per round, table diffs at round boundaries only.
-        self.timeline: Optional[TreeTimeline] = None
-        self._timeline_messages = 0
-
-    # ------------------------------------------------------------------
-    # Causal tracing (see repro.obs.causal)
-    # ------------------------------------------------------------------
-    def attach_tracer(self, tracer: Optional[CausalTracer],
-                      flight: Optional[FlightRecorder] = None) -> None:
-        """Wire a causal tracer (and optionally a flight recorder) into
-        every message walk; ``None`` detaches both."""
-        self.causal = tracer
-        if tracer is None:
-            self.flight = None
-            return
-        if flight is not None:
-            tracer.recorder = flight
-        recorder = tracer.recorder
-        self.flight = recorder if isinstance(recorder, FlightRecorder) else None
-
-    def attach_timeline(self, timeline: Optional[TreeTimeline],
-                        monitor: Optional[ConvergenceMonitor] = None
-                        ) -> None:
-        """Wire a tree-dynamics timeline (and optionally an online
-        convergence monitor) into the round loop; ``None`` detaches."""
-        self.timeline = timeline
-        self._timeline_messages = self.messages_processed
-        if timeline is not None and monitor is not None:
-            timeline.attach_monitor(monitor)
-        if timeline is not None and timeline.monitor is not None:
-            timeline.monitor.watch("reunite", self.channel_name)
-
-    def _span(self, name: str, node: NodeId, target: NodeId = None,
-              parent: Optional[Span] = None,
-              trace_id: Optional[str] = None) -> Optional[Span]:
-        causal = self.causal
-        if causal is None or not causal.enabled:
-            return None
-        return causal.begin(name, node, self.now, self.channel_name,
-                            trace_id=trace_id, parent=parent, target=target)
-
-    @staticmethod
-    def _stamp(message, span: Optional[Span]):
-        if span is None:
-            return message
-        return replace(message, trace_id=span.trace_id, span_id=span.span_id)
-
-    # ------------------------------------------------------------------
-    # Membership
-    # ------------------------------------------------------------------
-    def add_receiver(self, receiver: NodeId) -> None:
-        """Join: the receiver's join is walked immediately and may be
-        intercepted anywhere in the existing tree (unlike HBH, REUNITE
-        has no first-join exemption — the root of the Fig. 2 problem)."""
-        self.topology.kind(receiver)
-        if receiver == self.source:
-            raise ChannelError("the source cannot join its own conversation")
-        if receiver in self.receivers:
-            raise ChannelError(f"receiver {receiver} already joined")
-        self.receivers.add(receiver)
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            timeline.perturb(self.now, "reunite", self.channel_name,
-                             node=receiver, detail="join")
-        span = self._span(INITIAL_JOIN, receiver, target=receiver)
-        self._walk_join(
-            receiver,
-            self._stamp(ReuniteJoin(self.channel, receiver, initial=True),
-                        span),
-            span,
-        )
-
-    def remove_receiver(self, receiver: NodeId) -> None:
-        """Leave: go silent; upstream state decays and marked tree
-        messages reconfigure the branch (Fig. 2(b-d))."""
-        try:
-            self.receivers.remove(receiver)
-        except KeyError:
-            raise ChannelError(f"receiver {receiver} is not joined") from None
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            timeline.perturb(self.now, "reunite", self.channel_name,
-                             node=receiver, detail="leave")
 
     # ------------------------------------------------------------------
     # Rounds
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Virtual time: the current round number."""
-        return float(self.round_no)
-
-    def run_round(self) -> None:
-        """One protocol period: joins, tree cascade, aging."""
-        self.round_no += 1
-        for receiver in sorted(self.receivers):
-            span = self._span(JOIN, receiver, target=receiver)
-            self._walk_join(
-                receiver,
-                self._stamp(ReuniteJoin(self.channel, receiver), span),
-                span,
-            )
-        self._tree_phase()
-        self._expire()
-        timeline = self.timeline
-        if timeline is not None and timeline.enabled:
-            self._observe_timeline(timeline)
-        if self.flight is not None:
-            watermark = self.causal.next_id if self.causal is not None else 0
-            self.flight.snapshot(
-                self.channel_name, self.now, f"round {self.round_no}",
-                self._snapshot(), span_watermark=watermark,
-            )
-
-    @profiled("reunite.converge")
-    def converge(self, max_rounds: int = 40, settle_rounds: int = 2) -> int:
-        """Run rounds until the structural snapshot stabilises."""
-        stable = 0
-        previous = self._snapshot()
-        for executed in range(1, max_rounds + 1):
-            self.run_round()
-            current = self._snapshot()
-            if current == previous:
-                stable += 1
-                if stable >= settle_rounds:
-                    return executed
-            else:
-                stable = 0
-                previous = current
-        raise ProtocolError(
-            f"REUNITE did not converge within {max_rounds} rounds "
-            f"({len(self.receivers)} receivers on {self.topology.name!r})"
-        )
-
     def _snapshot(self) -> Tuple:
         now, timing = self.now, self.timing
         items: List[Tuple] = []
@@ -231,13 +80,10 @@ class StaticReunite:
             emit(node, self.states[node])
         return tuple(items)
 
-    def _observe_timeline(self, timeline: TreeTimeline) -> None:
-        """Feed the round's table state into the tree-dynamics
-        timeline (structural row diff at the round boundary, plus this
-        round's control-message count).  REUNITE has no fusion marks;
-        the dst anchor is its own table so a Fig. 2(d) re-anchor shows
-        up as the dst row moving."""
-        now = self.now
+    def _timeline_rows(self) -> Tuple[List[Tuple], List[Tuple]]:
+        """Table rows; REUNITE has no fusion marks.  The dst anchor is
+        its own table, so a Fig. 2(d) re-anchor shows up as the dst row
+        moving."""
         rows: List[Tuple] = []
 
         def emit(node: NodeId, state: ReuniteState) -> None:
@@ -254,14 +100,9 @@ class StaticReunite:
         emit(self.source, self.source_state)
         for node in sorted(self.states):
             emit(node, self.states[node])
-        timeline.observe_tables(now, "reunite", self.channel_name, rows)
-        timeline.control(now, "reunite", self.channel_name,
-                         self.messages_processed - self._timeline_messages)
-        self._timeline_messages = self.messages_processed
-        timeline.poll(now)
+        return rows, []
 
-    def _expire(self) -> None:
-        now, timing = self.now, self.timing
+    def _expire_source(self, now: float, timing: ProtocolTiming) -> None:
         self.source_state.expire(now, timing)
         source_mft = self.source_state.mft
         if source_mft is not None and source_mft.dst is None:
@@ -270,50 +111,13 @@ class StaticReunite:
             source_mft.promote_receiver_to_dst(now, timing)
             if source_mft.empty:
                 self.source_state.mft = None
-        emptied = []
-        for node, state in self.states.items():
-            state.expire(now, timing)
-            if not state.in_tree:
-                emptied.append(node)
-        for node in emptied:
-            del self.states[node]
+
+    def _source_table(self) -> Optional[ReuniteMft]:
+        return self.source_state.mft
 
     # ------------------------------------------------------------------
     # Message walks
     # ------------------------------------------------------------------
-    def _state_at(self, node: NodeId) -> ReuniteState:
-        state = self.states.get(node)
-        if state is None:
-            state = ReuniteState()
-            self.states[node] = state
-        return state
-
-    def _applies_rules(self, node: NodeId) -> bool:
-        return (
-            node != self.source
-            and self.topology.kind(node) is NodeKind.ROUTER
-            and self.topology.is_multicast_capable(node)
-        )
-
-    def _hops(self, origin: NodeId, destination: NodeId):
-        """The hop sequence ``origin -> destination`` *excluding*
-        ``origin`` — what a message walk visits.  Uses the routing
-        substrate's memoized path when it has one; otherwise chains
-        ``next_hop`` exactly as the walks used to, so learned-routing
-        views keep their step-at-a-time semantics."""
-        if origin == destination:
-            return ()
-        route_path = self._route_path
-        if route_path is not None:
-            return route_path(origin, destination)[1:]
-        hops = []
-        current = origin
-        routing = self.routing
-        while current != destination:
-            current = routing.next_hop(current, destination)
-            hops.append(current)
-        return hops
-
     def _walk_join(self, origin: NodeId, message: ReuniteJoin,
                    span: Optional[Span] = None) -> None:
         self.messages_processed += 1
@@ -417,7 +221,7 @@ class StaticReunite:
         steps = 0
         while queue:
             steps += 1
-            if steps > _MAX_CASCADE:  # pragma: no cover - safety valve
+            if steps > MAX_CASCADE:  # pragma: no cover - safety valve
                 raise ProtocolError("REUNITE tree cascade did not terminate")
             origin, message, parent = queue.popleft()
             span: Optional[Span] = None
@@ -524,12 +328,7 @@ class StaticReunite:
             targets.append(mft.dst.address)
         targets.extend(e.address for e in mft.live_receivers(now, timing))
         for target in targets:
-            child = None
-            if root is not None:
-                child = self.causal.begin(
-                    DATA, self.source, self.now, self.channel_name,
-                    parent=root, target=target,
-                )
+            child = self._span(DATA, self.source, target=target, parent=root)
             self._walk_data(self.source, target, 0.0, distribution,
                             expanded, child)
         if root is not None:
@@ -566,12 +365,8 @@ class StaticReunite:
                     continue
                 expanded.add((current, target))
                 for entry in mft.live_receivers(now, timing):
-                    child = None
-                    if span is not None:
-                        child = self.causal.begin(
-                            DATA, current, self.now, self.channel_name,
-                            parent=span, target=entry.address,
-                        )
+                    child = self._span(DATA, current, target=entry.address,
+                                       parent=span)
                     copies += 1
                     self._walk_data(current, entry.address, elapsed,
                                     distribution, expanded, child)
@@ -587,23 +382,3 @@ class StaticReunite:
             self.causal.finish(
                 span, "; ".join(parts) or f"terminated at {current}"
             )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def branching_nodes(self) -> List[NodeId]:
-        """Routers currently holding an MFT."""
-        return sorted(
-            node for node, state in self.states.items() if state.is_branching
-        )
-
-    def describe(self) -> str:
-        """Human-readable dump of the converged tree."""
-        lines = [f"REUNITE conversation {self.channel}, round {self.round_no}"]
-        mft = self.source_state.mft
-        lines.append(f"  source {self.source}: {mft!r}")
-        for node in sorted(self.states):
-            state = self.states[node]
-            table = state.mft if state.mft is not None else state.mct
-            lines.append(f"  node {node}: {table!r}")
-        return "\n".join(lines)

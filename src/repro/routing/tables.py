@@ -214,10 +214,7 @@ class UnicastRouting:
         #: Consumers that memoize route facts (e.g. the static driver's
         #: walk plans) compare this to learn that *something* changed,
         #: then use :meth:`origin_generation` to keep every plan whose
-        #: origins did not.  Duck-typed routing substitutes (the
-        #: learned-routing views) do NOT provide it — cache holders
-        #: must probe with ``getattr(routing, "generation", None)`` and
-        #: skip caching when absent.
+        #: origins did not.
         self.generation = 0
         #: Monotone count of cost deltas observed (the delta-log
         #: sequence); each table records the sequence it has applied.
@@ -230,10 +227,6 @@ class UnicastRouting:
         #: Overflow guard: past this length the oldest half of the log
         #: is dropped and tables that old fall back to a full rebuild.
         self._log_cap = max(256, 4 * topology.num_links)
-        #: Marker for fault players and other mutators: this substrate
-        #: observes ``set_cost`` itself; callers must NOT ``invalidate``
-        #: on its behalf.
-        self.auto_tracking = True
         #: Escape hatch (``REPRO_ROUTING_FULL=1``): serve every refresh
         #: with a from-scratch Dijkstra instead of a repair.
         self.full_recompute = (

@@ -2,12 +2,15 @@
 
 The Fig. 2 walkthrough is fully deterministic (static driver, sorted
 iteration everywhere), so its rendered causal chains are pinned
-byte-for-byte in ``tests/golden/explain_fig2.txt`` — the same file the
-CI explain job ``cmp``s against.  If an intentional change to the
+byte-for-byte in ``tests/golden/explain_fig2.txt`` (HBH) and
+``tests/golden/explain_fig2_reunite.txt`` (REUNITE) — the same files
+the CI explain job ``cmp``s against.  If an intentional change to the
 tracing vocabulary or the renderer moves the output, regenerate with::
 
     PYTHONPATH=src python -m repro.experiments explain \
         > tests/golden/explain_fig2.txt
+    PYTHONPATH=src python -m repro.experiments explain --protocols reunite \
+        > tests/golden/explain_fig2_reunite.txt
 """
 
 from pathlib import Path
@@ -18,6 +21,7 @@ from repro.errors import ExperimentError
 from repro.experiments.explain import parse_query, run_explain
 
 GOLDEN = Path(__file__).parent.parent / "golden" / "explain_fig2.txt"
+REUNITE_GOLDEN = GOLDEN.with_name("explain_fig2_reunite.txt")
 
 
 class TestFig2Golden:
@@ -40,6 +44,14 @@ class TestFig2Golden:
 
     def test_is_deterministic(self):
         assert run_explain() == run_explain()
+
+
+class TestFig2ReuniteGolden:
+    def test_matches_the_committed_golden_file(self):
+        """REUNITE's span outcomes and flight snapshots, byte for byte."""
+        text, code = run_explain(protocol="reunite")
+        assert code == 0
+        assert text == REUNITE_GOLDEN.read_text()
 
 
 class TestQueries:

@@ -21,6 +21,8 @@ from repro.experiments.faults import (
     run_scenarios,
     scenario_timeline,
 )
+from repro.experiments.figures import figure_config
+from repro.experiments.harness import run_sweep
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import PERTURB, STABILIZE, write_events_jsonl
 
@@ -124,3 +126,22 @@ class TestDeterminism:
             [dict(event, scenario="primary-cut")
              for event in timeline.event_dicts()], buffer)
         assert buffer.getvalue() == golden.read_text()
+
+    def test_fig7a_prefix_matches_the_committed_golden(self):
+        """The round drivers' event stream (HBH entry add/remove/mark
+        and branch-add, REUNITE entry add/remove and branch-add, both
+        protocols' perturbs) is pinned by the first 256 lines of a
+        one-run Fig. 7(a) archive in
+        ``tests/golden/timeline_fig7a_prefix.jsonl``; regenerate with::
+
+            PYTHONPATH=src python -m repro.experiments fig7a --runs 1 \
+                --quiet --timeline-out sweep.jsonl
+            head -256 sweep.jsonl > tests/golden/timeline_fig7a_prefix.jsonl
+        """
+        golden = (Path(__file__).parent.parent / "golden"
+                  / "timeline_fig7a_prefix.jsonl")
+        result = run_sweep(figure_config("fig7a", runs=1), timeline=True)
+        buffer = io.StringIO()
+        write_events_jsonl(result.timeline_events, buffer)
+        prefix = buffer.getvalue().splitlines(keepends=True)[:256]
+        assert "".join(prefix) == golden.read_text()

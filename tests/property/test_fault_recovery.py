@@ -42,7 +42,7 @@ def _run_under_faults(driver, case):
     # bound keeps long schedules from hoarding spans.
     driver.attach_tracer(CausalTracer(maxlen=8192))
     player = RoundFaultPlayer(
-        topology, driver.routing, schedule,
+        topology, schedule,
         on_crash=lambda node: driver.states.pop(node, None),
     )
     for receiver in receivers:

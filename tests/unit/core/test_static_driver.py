@@ -1,33 +1,74 @@
-"""Unit tests for the HBH static (round-based) driver."""
+"""Unit tests for the static (round-based) drivers.
+
+The membership and convergence contract of :class:`RoundDriver` runs
+against both drivers: each contract class below is collected once for
+HBH (``TestMembership``, ``TestConvergence``) and once for REUNITE
+(``TestReuniteContract``).  Everything after it is HBH-specific.
+"""
 
 import pytest
 
 from repro.core.static_driver import StaticHbh
 from repro.errors import ChannelError
+from repro.protocols.reunite.static_driver import StaticReunite
 from repro.topology.random_graphs import line_topology, star_topology
 
 
-class TestMembership:
+class MembershipContract:
+    driver_cls: type = StaticHbh
+
     def test_source_cannot_join(self, fig2_topology):
-        driver = StaticHbh(fig2_topology, source=0)
+        driver = self.driver_cls(fig2_topology, source=0)
         with pytest.raises(ChannelError):
             driver.add_receiver(0)
 
     def test_double_join_rejected(self, fig2_topology):
-        driver = StaticHbh(fig2_topology, source=0)
+        driver = self.driver_cls(fig2_topology, source=0)
         driver.add_receiver(11)
         with pytest.raises(ChannelError):
             driver.add_receiver(11)
 
     def test_leave_unknown_rejected(self, fig2_topology):
-        driver = StaticHbh(fig2_topology, source=0)
+        driver = self.driver_cls(fig2_topology, source=0)
         with pytest.raises(ChannelError):
             driver.remove_receiver(11)
 
+
+class ConvergenceContract:
+    driver_cls: type = StaticHbh
+
+    def test_converge_returns_round_count(self, fig2_topology):
+        driver = self.driver_cls(fig2_topology, source=0)
+        driver.add_receiver(11)
+        rounds = driver.converge()
+        assert 1 <= rounds <= 40
+
+    def test_empty_channel_converges_immediately(self, fig2_topology):
+        driver = self.driver_cls(fig2_topology, source=0)
+        assert driver.converge() <= 3
+
+    def test_describe_mentions_tables(self, fig2_topology):
+        driver = self.driver_cls(fig2_topology, source=0)
+        driver.add_receiver(11)
+        driver.converge()
+        text = driver.describe()
+        assert "source 0" in text
+        assert "MCT" in text or "MFT" in text
+
+
+class TestMembership(MembershipContract):
     def test_initial_join_reaches_source(self, fig2_topology):
         driver = StaticHbh(fig2_topology, source=0)
         driver.add_receiver(11)
         assert 11 in driver.source_mft
+
+
+class TestConvergence(ConvergenceContract):
+    pass
+
+
+class TestReuniteContract(MembershipContract, ConvergenceContract):
+    driver_cls = StaticReunite
 
 
 class TestSingleReceiver:
@@ -98,26 +139,6 @@ class TestDeparture:
         assert len(driver.source_mft) == 0
         assert driver.tree_nodes() == []
         assert driver.distribute_data().copies == 0
-
-
-class TestConvergence:
-    def test_converge_returns_round_count(self, fig2_topology):
-        driver = StaticHbh(fig2_topology, source=0)
-        driver.add_receiver(11)
-        rounds = driver.converge()
-        assert 1 <= rounds <= 40
-
-    def test_empty_channel_converges_immediately(self, fig2_topology):
-        driver = StaticHbh(fig2_topology, source=0)
-        assert driver.converge() <= 3
-
-    def test_describe_mentions_tables(self, fig2_topology):
-        driver = StaticHbh(fig2_topology, source=0)
-        driver.add_receiver(11)
-        driver.converge()
-        text = driver.describe()
-        assert "source 0" in text
-        assert "MCT" in text or "MFT" in text
 
 
 class TestUnicastOnlyRouters:

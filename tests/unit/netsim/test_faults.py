@@ -278,7 +278,7 @@ class TestRoundFaultPlayer:
         topology = ladder()
         routing = UnicastRouting(topology)
         schedule = FaultSchedule([LinkDown(2.0, 1, 2), LinkUp(5.0, 1, 2)])
-        player = RoundFaultPlayer(topology, routing, schedule)
+        player = RoundFaultPlayer(topology, schedule)
         assert player.advance(1.0) == 0
         assert player.advance(2.0) == 1
         assert player.down_links == frozenset({(1, 2)})
@@ -290,11 +290,10 @@ class TestRoundFaultPlayer:
 
     def test_crash_cuts_adjacent_and_calls_hook(self):
         topology = ladder()
-        routing = UnicastRouting(topology)
         wiped = []
         schedule = FaultSchedule(
             [RouterCrash(1.0, 1), RouterRestart(3.0, 1)])
-        player = RoundFaultPlayer(topology, routing, schedule,
+        player = RoundFaultPlayer(topology, schedule,
                                   on_crash=wiped.append)
         player.advance(1.0)
         assert wiped == [1]
@@ -311,16 +310,14 @@ class TestRoundFaultPlayer:
             LinkUp(3.0, 1, 2), LinkUp(4.0, 1, 2),
             RouterRestart(5.0, 3),  # never crashed
         ])
-        player = RoundFaultPlayer(topology, UnicastRouting(topology),
-                                  schedule)
+        player = RoundFaultPlayer(topology, schedule)
         player.finish()
         assert topology.cost(1, 2) == 1  # restored exactly once
 
     def test_packet_level_events_ignored(self):
         topology = ladder()
         schedule = FaultSchedule([LinkLoss(1.0, 0, 1, rate=0.5)])
-        player = RoundFaultPlayer(topology, UnicastRouting(topology),
-                                  schedule)
+        player = RoundFaultPlayer(topology, schedule)
         player.finish()
         assert len(player.ignored) == 1
         assert player.down_links == frozenset()
@@ -352,8 +349,7 @@ class TestConnectivityHelpers:
         assert [e.node for e in restarts] == [4]
         assert ups  # at least one cut restored
         # Replaying the closed schedule ends connected.
-        player = RoundFaultPlayer(topology, UnicastRouting(topology),
-                                  FaultSchedule(closed))
+        player = RoundFaultPlayer(topology, FaultSchedule(closed))
         player.finish()
         assert keeps_group_connected(topology, 10, [12],
                                      down_links=player.down_links)
@@ -371,8 +367,7 @@ class TestConnectivityHelpers:
         assert one.events == two.events
         assert one.name == "random-5"
         fresh = ladder()
-        routing = UnicastRouting(fresh)
-        player = RoundFaultPlayer(fresh, routing, one)
+        player = RoundFaultPlayer(fresh, one)
         player.finish()
         assert keeps_group_connected(fresh, 10, [12],
                                      down_links=player.down_links)
