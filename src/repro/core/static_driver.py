@@ -27,7 +27,7 @@ are built from.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, List, Optional, Set, Tuple, Union
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Set, Tuple, Union
 
 from repro.core.messages import FusionMessage, JoinMessage, TreeMessage
 from repro.core.round_driver import MAX_CASCADE, RoundDriver
@@ -98,9 +98,10 @@ class StaticHbh(RoundDriver):
         self._spt_deps: Dict[
             Tuple[NodeId, NodeId], Tuple[Tuple[NodeId, Optional[int]], ...]
         ] = {}
-        #: Control messages are frozen dataclasses and the untraced
-        #: walks re-emit identical ones every round — cache per target
-        #: (no generation dependency; messages carry no routing facts).
+        #: Control messages are frozen dataclasses and the walks re-emit
+        #: identical ones every round — cache per target (no generation
+        #: dependency; messages carry no routing facts).  Joins are
+        #: cached by the untraced walks, trees by every cascade.
         self._join_msg_cache: Dict[NodeId, JoinMessage] = {}
         self._tree_msg_cache: Dict[NodeId, TreeMessage] = {}
 
@@ -318,8 +319,11 @@ class StaticHbh(RoundDriver):
                 return
             if not self._applies_rules(current):
                 continue
+            state = self.states.get(current)
+            if state is None:
+                continue  # rule 1: no MFT here, so the join passes
             actions = process_join(
-                self._state_at(current), message, current, now, self.timing,
+                state, message, current, now, self.timing,
                 on_spt=self._on_spt(current, joiner),
             )
             consumed = False
@@ -392,8 +396,7 @@ class StaticHbh(RoundDriver):
             for current, on_spt in plan:
                 state = states.get(current)
                 if state is None:
-                    state = HbhChannelState()
-                    states[current] = state
+                    continue  # rule 1: no MFT here, so the join passes
                 actions = process_join(state, message, current, now,
                                        timing, on_spt=on_spt)
                 if actions is FORWARD_ONLY:
@@ -428,18 +431,40 @@ class StaticHbh(RoundDriver):
         terminates when a route flip leaves a transient table cycle
         (two nodes regenerating trees at each other) — the cycle is
         walked once and left to age out over subsequent rounds.
+        Duplicates are dropped when sent, before a message is built;
+        the queue is FIFO, so the first send of each message is the
+        one walked, in the order it was sent.
         """
         queue: Deque[
             Tuple[NodeId, Union[TreeMessage, FusionMessage], Optional[Span]]
         ] = deque()
         seen: Set[Tuple] = set()
-        msg_cache = self._tree_msg_cache
+        channel = self.channel
+        tree_messages = self._tree_msg_cache
+
+        def send_tree(origin: NodeId, target: NodeId,
+                      parent: Optional[Span]) -> None:
+            key = ("tree", origin, target)
+            if key not in seen:
+                seen.add(key)
+                message = tree_messages.get(target)
+                if message is None:
+                    message = tree_messages[target] = \
+                        TreeMessage(channel, target)
+                queue.append((origin, message, parent))
+
+        def send_fusion(origin: NodeId, receivers: Tuple[NodeId, ...],
+                        parent: Optional[Span]) -> None:
+            key = ("fusion", origin, receivers)
+            if key not in seen:
+                seen.add(key)
+                queue.append(
+                    (origin, FusionMessage(channel, receivers, sender=origin),
+                     parent)
+                )
+
         for target in self.source_mft.tree_targets(self.now, self.timing):
-            message = msg_cache.get(target)
-            if message is None:
-                message = TreeMessage(self.channel, target)
-                msg_cache[target] = message
-            queue.append((self.source, message, None))
+            send_tree(self.source, target, None)
         causal = self.causal
         tracing = causal is not None and causal.enabled
         #: All of one round's emission shares one trace: the origin
@@ -450,7 +475,6 @@ class StaticHbh(RoundDriver):
         )
         steps = 0
         popleft = queue.popleft
-        seen_add = seen.add
         if not tracing:
             self._sync_plans()
         now = float(self.round_no)
@@ -459,38 +483,31 @@ class StaticHbh(RoundDriver):
             if steps > MAX_CASCADE:  # pragma: no cover - safety valve
                 raise ProtocolError("tree/fusion cascade did not terminate")
             origin, message, parent = popleft()
-            is_tree = isinstance(message, TreeMessage)
-            if is_tree:
-                key = ("tree", origin, message.target)
-            else:
-                key = ("fusion", origin, tuple(message.receivers))
-            if key in seen:
-                continue
-            seen_add(key)
-            span: Optional[Span] = None
-            if tracing:
+            is_tree = message.__class__ is TreeMessage
+            if not tracing:
                 if is_tree:
-                    span = causal.begin(
-                        TREE, origin, self.now, self.channel_name,
-                        trace_id=round_trace if parent is None else None,
-                        parent=parent, target=message.target,
-                    )
+                    self._walk_tree_fast(origin, message, send_tree,
+                                         send_fusion, now)
                 else:
-                    span = causal.begin(
-                        FUSION, origin, self.now, self.channel_name,
-                        parent=parent, target=message.receivers,
-                    )
-                message = self._stamp(message, span)
-            if is_tree:
-                if span is None:
-                    self._walk_tree_fast(origin, message, queue, now)
-                else:
-                    self._walk_tree(origin, message, queue, span)
+                    self._walk_fusion(origin, message)
+            elif is_tree:
+                span = causal.begin(
+                    TREE, origin, now, self.channel_name,
+                    trace_id=round_trace if parent is None else None,
+                    parent=parent, target=message.target,
+                )
+                self._walk_tree(origin, self._stamp(message, span),
+                                send_tree, send_fusion, span)
             else:
-                self._walk_fusion(origin, message, queue, span)
+                span = causal.begin(
+                    FUSION, origin, now, self.channel_name,
+                    parent=parent, target=message.receivers,
+                )
+                self._walk_fusion(origin, self._stamp(message, span), span)
 
     def _walk_tree(self, origin: NodeId, message: TreeMessage,
-                   queue: Deque, span: Span) -> None:
+                   send_tree: Callable, send_fusion: Callable,
+                   span: Span) -> None:
         """Traced walk of ``tree(S, target)`` from ``origin`` toward its
         target, applying the tree rules at every HBH router on the way
         and recording every hop and table effect on ``span`` (untraced
@@ -498,7 +515,6 @@ class StaticHbh(RoundDriver):
         self.messages_processed += 1
         now = float(self.round_no)
         causal = self.causal
-        channel = self.channel
         target_node = message.target
         previous = origin
         for current in self._hops(origin, target_node):
@@ -522,17 +538,9 @@ class StaticHbh(RoundDriver):
                     consumed = True
                 elif cls is OriginateTree:
                     if action.target != current:
-                        queue.append(
-                            (current, TreeMessage(channel, action.target),
-                             span)
-                        )
+                        send_tree(current, action.target, span)
                 elif cls is OriginateFusion:
-                    queue.append(
-                        (current,
-                         FusionMessage(channel, action.receivers,
-                                       sender=current),
-                         span)
-                    )
+                    send_fusion(current, action.receivers, span)
                 elif cls is not Forward:  # pragma: no cover
                     raise ProtocolError(f"unexpected tree action {action!r}")
             if consumed:
@@ -553,7 +561,8 @@ class StaticHbh(RoundDriver):
             causal.finish(span, f"reached {target_node}")
 
     def _walk_tree_fast(self, origin: NodeId, message: TreeMessage,
-                        queue: Deque, now: float) -> None:
+                        send_tree: Callable, send_fusion: Callable,
+                        now: float) -> None:
         """Untraced tree walk over a precomputed plan (see
         :meth:`_walk_join_fast`): only the rule-applying hops do
         anything, and each needs its full-path predecessor as
@@ -562,10 +571,7 @@ class StaticHbh(RoundDriver):
         round."""
         self.messages_processed += 1
         timing = self.timing
-        channel = self.channel
         states = self.states
-        queue_append = queue.append
-        msg_cache = self._tree_msg_cache
         target_node = message.target
         plan_key = (origin, target_node)
         plan = self._tree_plans.get(plan_key)
@@ -602,18 +608,9 @@ class StaticHbh(RoundDriver):
                 elif cls is OriginateTree:
                     target = action.target
                     if target != current:
-                        nested = msg_cache.get(target)
-                        if nested is None:
-                            nested = TreeMessage(channel, target)
-                            msg_cache[target] = nested
-                        queue_append((current, nested, None))
+                        send_tree(current, target, None)
                 elif cls is OriginateFusion:
-                    queue_append(
-                        (current,
-                         FusionMessage(channel, action.receivers,
-                                       sender=current),
-                         None)
-                    )
+                    send_fusion(current, action.receivers, None)
                 elif cls is not Forward:  # pragma: no cover
                     raise ProtocolError(
                         f"unexpected tree action {action!r}"
@@ -683,41 +680,45 @@ class StaticHbh(RoundDriver):
         self,
         origin: NodeId,
         message: FusionMessage,
-        queue: Deque,
         span: Optional[Span] = None,
     ) -> None:
         """Walk a fusion from ``origin`` upstream toward the source
         (tree-path first, unicast fallback), applying the fusion rules
         until interception."""
         self.messages_processed += 1
+        now = float(self.round_no)
+        source = self.source
+        states = self.states
         current = origin
         visited: Set[NodeId] = {origin}
-        while current != self.source:
+        while current != source:
             previous = current
             current = self._fusion_next_hop(current, visited)
             visited.add(current)
             if span is not None:
                 span.hops.append(current)
-            if current == self.source:
+            if current == source:
                 if span is not None:
                     marked = [r for r in message.receivers
                               if r in self.source_mft]
                     adopted = message.sender not in self.source_mft
-                process_fusion_at_source(self.source_mft, message, self.now)
+                process_fusion_at_source(self.source_mft, message, now)
                 if span is not None:
-                    self._fusion_effects(span, self.source, "source-mft",
+                    self._fusion_effects(span, source, "source-mft",
                                          message.sender, marked, adopted)
                 return
             if not self._applies_rules(current):
                 continue
-            state = self._state_at(current)
+            state = states.get(current)
+            if state is None:
+                continue  # rule 1: no MFT here, so the fusion passes
             if span is not None:
                 mft = state.mft
                 marked = [] if mft is None else \
                     [r for r in message.receivers if r in mft]
                 adopted = mft is not None and message.sender not in mft
             actions = process_fusion(
-                state, message, self.now,
+                state, message, now,
                 arrived_from=previous,
             )
             if actions is FORWARD_ONLY:

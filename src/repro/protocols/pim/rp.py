@@ -14,7 +14,7 @@ strategies and the ``abl-rp`` ablation sweeps them:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro._rand import SeedLike, make_rng
 from repro.errors import ExperimentError
@@ -24,37 +24,49 @@ from repro.topology.model import Topology
 NodeId = Hashable
 
 
-def _median_rp(topology: Topology, routing: UnicastRouting,
-               seed: SeedLike) -> NodeId:
+def _best_router(topology: Topology, routing: UnicastRouting,
+                 score: Callable[[List[Tuple[float, float]]], float]
+                 ) -> NodeId:
+    """The first router, in id order, with the lowest ``score``.
+
+    A candidate's score is computed from its ``(to, from)`` directed
+    distances to every other router, listed in router order.  Each
+    router's distance map is fetched once for the whole search.
+    """
+    routers = topology.routers
+    distances = {node: routing.table(node).distances() for node in routers}
     best_node = None
-    best_total = float("inf")
-    for candidate in topology.routers:
-        total = 0.0
-        for other in topology.routers:
-            if other == candidate:
-                continue
-            total += routing.distance(candidate, other)
-            total += routing.distance(other, candidate)
-        if total < best_total:
-            best_total = total
+    best_score = float("inf")
+    for candidate in routers:
+        outbound = distances[candidate]
+        value = score([(outbound[other], distances[other][candidate])
+                       for other in routers if other != candidate])
+        if value < best_score:
+            best_score = value
             best_node = candidate
     return best_node
+
+
+def _total_distance(pairs: List[Tuple[float, float]]) -> float:
+    total = 0.0
+    for to, back in pairs:
+        total += to
+        total += back
+    return total
+
+
+def _worst_distance(pairs: List[Tuple[float, float]]) -> float:
+    return max(max(to, back) for to, back in pairs)
+
+
+def _median_rp(topology: Topology, routing: UnicastRouting,
+               seed: SeedLike) -> NodeId:
+    return _best_router(topology, routing, _total_distance)
 
 
 def _eccentricity_rp(topology: Topology, routing: UnicastRouting,
                      seed: SeedLike) -> NodeId:
-    best_node = None
-    best_worst = float("inf")
-    for candidate in topology.routers:
-        worst = max(
-            max(routing.distance(candidate, other),
-                routing.distance(other, candidate))
-            for other in topology.routers if other != candidate
-        )
-        if worst < best_worst:
-            best_worst = worst
-            best_node = candidate
-    return best_node
+    return _best_router(topology, routing, _worst_distance)
 
 
 def _random_rp(topology: Topology, routing: UnicastRouting,

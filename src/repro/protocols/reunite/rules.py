@@ -29,6 +29,10 @@ Tree at router B (target R):
   - B non-branching, unmarked -> install/refresh the R MCT entry,
     forward.
   - B non-branching, marked -> destroy any R MCT entries, forward.
+
+As in HBH, the two plain outcomes return the shared, read-only
+``FORWARD_ONLY`` / ``CONSUME_ONLY`` lists of :mod:`repro.core.rules`, so
+the walks identity-test them instead of dispatching on each action.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, List, Union
 
-from repro.core.rules import Consume, Forward
+from repro.core.rules import CONSUME_ONLY, FORWARD_ONLY, Consume, Forward
 from repro.core.tables import ProtocolTiming
 from repro.protocols.reunite.messages import ReuniteJoin, ReuniteTree
 from repro.protocols.reunite.tables import ReuniteMct, ReuniteMft, ReuniteState
@@ -65,7 +69,7 @@ def process_join(
     mft = state.mft
     if mft is not None:
         if mft.is_stale(now, timing):
-            return [Forward()]
+            return FORWARD_ONLY
         if mft.dst is not None and message.joiner == mft.dst.address:
             # The dst receiver joined *upstream* (originally at the
             # source): its join must keep travelling there or the
@@ -76,21 +80,21 @@ def process_join(
             # MFT.dst = ri entries down the tree": only tree messages
             # keep a dst alive, so a branching node that data stopped
             # passing through decays instead of intercepting forever.
-            return [Forward()]
+            return FORWARD_ONLY
         receiver = mft.get_receiver(message.joiner)
         if receiver is not None:
             receiver.refresh(now)
-            return [Consume()]
+            return CONSUME_ONLY
         if message.initial:
             mft.add_receiver(message.joiner, now)
-            return [Consume()]
+            return CONSUME_ONLY
         # A periodic join of a receiver attached elsewhere: transit.
-        return [Forward()]
+        return FORWARD_ONLY
 
     mct = state.mct
     if mct is not None and message.initial:
         if message.joiner in mct:
-            return [Forward()]
+            return FORWARD_ONLY
         fresh = mct.fresh_entries(now, timing)
         if fresh:
             # Promote: oldest fresh MCT receiver becomes dst.
@@ -100,8 +104,8 @@ def process_join(
             mft.add_receiver(message.joiner, now)
             state.mft = mft
             state.mct = None
-            return [Consume()]
-    return [Forward()]
+            return CONSUME_ONLY
+    return FORWARD_ONLY
 
 
 def process_join_at_source(
@@ -121,21 +125,21 @@ def process_join_at_source(
         from repro.protocols.reunite.tables import ReuniteEntry
 
         state.mft = ReuniteMft(dst=ReuniteEntry(message.joiner, now))
-        return [Consume()]
+        return CONSUME_ONLY
     if mft.dst is not None and message.joiner == mft.dst.address:
         mft.dst.refresh(now)
-        return [Consume()]
+        return CONSUME_ONLY
     receiver = mft.get_receiver(message.joiner)
     if receiver is not None:
         receiver.refresh(now)
-        return [Consume()]
+        return CONSUME_ONLY
     if mft.dst is None:
         from repro.protocols.reunite.tables import ReuniteEntry
 
         mft.dst = ReuniteEntry(message.joiner, now)
-        return [Consume()]
+        return CONSUME_ONLY
     mft.add_receiver(message.joiner, now)
-    return [Consume()]
+    return CONSUME_ONLY
 
 
 def process_tree(
@@ -150,24 +154,22 @@ def process_tree(
         if mft.dst is not None and message.target == mft.dst.address:
             if message.marked:
                 mft.dst.make_stale()
-                return [Forward()]
+                return FORWARD_ONLY
             mft.dst.refresh(now)
-            actions: List[ReuniteAction] = [Forward()]
-            actions.extend(
+            return FORWARD_ONLY + [
                 RegenerateTree(target=e.address)
                 for e in mft.fresh_receivers(now, timing)
-            )
-            return actions
+            ]
         # A tree for some other receiver passing through a branching
         # node: transit only (its state lives elsewhere).
-        return [Forward()]
+        return FORWARD_ONLY
 
     if message.marked:
         if state.mct is not None:
             state.mct.remove(message.target)
             if len(state.mct) == 0:
                 state.mct = None
-        return [Forward()]
+        return FORWARD_ONLY
 
     if state.mct is None:
         state.mct = ReuniteMct()
@@ -176,4 +178,4 @@ def process_tree(
         state.mct.add(message.target, now)
     else:
         entry.refresh(now)
-    return [Forward()]
+    return FORWARD_ONLY

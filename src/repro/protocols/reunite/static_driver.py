@@ -12,10 +12,10 @@ these rules — nothing is special-cased.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Hashable, List, Optional, Set, Tuple
 
 from repro.core.round_driver import MAX_CASCADE, RoundDriver
-from repro.core.rules import Consume, Forward
+from repro.core.rules import CONSUME_ONLY, FORWARD_ONLY, Consume, Forward
 from repro.core.tables import ProtocolTiming
 from repro.errors import ProtocolError
 from repro.metrics.distribution import DataDistribution
@@ -121,30 +121,37 @@ class StaticReunite(RoundDriver):
     def _walk_join(self, origin: NodeId, message: ReuniteJoin,
                    span: Optional[Span] = None) -> None:
         self.messages_processed += 1
-        for current in self._hops(origin, self.source):
+        now, timing = self.now, self.timing
+        source = self.source
+        states = self.states
+        for current in self._hops(origin, source):
             if span is not None:
                 span.hops.append(current)
-            if current == self.source:
+            if current == source:
                 if span is not None:
                     before = self._join_facts(self.source_state, message)
-                process_join_at_source(
-                    self.source_state, message, self.now, self.timing
-                )
+                process_join_at_source(self.source_state, message, now,
+                                       timing)
                 if span is not None:
-                    self._join_effects(span, self.source, self.source_state,
+                    self._join_effects(span, source, self.source_state,
                                        message, before, at_source=True)
                 return
             if not self._applies_rules(current):
                 continue
-            state = self._state_at(current)
+            state = states.get(current)
+            if state is None:
+                continue  # no MFT or MCT here, so the join passes
             if span is not None:
                 before = self._join_facts(state, message)
-            actions = process_join(state, message, self.now, self.timing)
-            if any(isinstance(action, Consume) for action in actions):
-                if span is not None:
-                    self._join_effects(span, current, state, message, before,
-                                       at_source=False)
-                return
+            actions = process_join(state, message, now, timing)
+            if actions is FORWARD_ONLY:
+                continue
+            if actions is not CONSUME_ONLY:  # pragma: no cover
+                raise ProtocolError(f"unexpected join actions {actions!r}")
+            if span is not None:
+                self._join_effects(span, current, state, message, before,
+                                   at_source=False)
+            return
 
     def _join_facts(self, state, message: ReuniteJoin) -> Tuple[bool, bool]:
         """(joiner already known, node already branching) before the
@@ -232,12 +239,13 @@ class StaticReunite(RoundDriver):
                     parent=parent, target=message.target,
                 )
                 message = self._stamp(message, span)
-            self._walk_tree(origin, message, queue, enqueue, span)
+            self._walk_tree(origin, message, enqueue, span)
 
     def _walk_tree(self, origin: NodeId, message: ReuniteTree,
-                   queue: Deque, enqueue,
+                   enqueue: Callable,
                    span: Optional[Span] = None) -> None:
         self.messages_processed += 1
+        now, timing = self.now, self.timing
         target_node = message.target
         for current in self._hops(origin, target_node):
             if span is not None:
@@ -251,14 +259,17 @@ class StaticReunite(RoundDriver):
             state = self._state_at(current)
             if span is not None:
                 before = self._tree_facts(state, message)
-            actions = process_tree(state, message, self.now, self.timing)
+            actions = process_tree(state, message, now, timing)
             if span is not None:
                 self._tree_effects(span, current, state, message, before)
+            if actions is FORWARD_ONLY:
+                continue
             consumed = False
             for action in actions:
-                if isinstance(action, Consume):
+                cls = action.__class__
+                if cls is Consume:
                     consumed = True
-                elif isinstance(action, RegenerateTree):
+                elif cls is RegenerateTree:
                     if action.target != current:
                         enqueue(
                             current,
@@ -266,7 +277,7 @@ class StaticReunite(RoundDriver):
                                         marked=action.marked),
                             span,
                         )
-                elif not isinstance(action, Forward):  # pragma: no cover
+                elif cls is not Forward:  # pragma: no cover
                     raise ProtocolError(f"unexpected tree action {action!r}")
             if consumed:
                 if span is not None:

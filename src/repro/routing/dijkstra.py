@@ -34,26 +34,29 @@ def shortest_paths_from(
     maps (cannot happen on a validated, connected topology).
     """
     topology.kind(origin)  # raises on unknown node
+    # Sorted by neighbor id, exactly the order neighbors() returns.
+    adjacency = topology.weighted_adjacency()
     distance: Dict[NodeId, float] = {origin: 0.0}
     predecessor: Dict[NodeId, Optional[NodeId]] = {origin: None}
     # Heap entries: (distance, node). The deterministic tie-break lives
     # in the relaxation step, not the pop order.
     frontier: List[Tuple[float, NodeId]] = [(0.0, origin)]
     settled = set()
+    heappop, heappush = heapq.heappop, heapq.heappush
     while frontier:
-        dist, node = heapq.heappop(frontier)
+        dist, node = heappop(frontier)
         if node in settled:
             continue
         settled.add(node)
-        for neighbor in topology.neighbors(node):
+        for neighbor, cost in adjacency[node]:
             if neighbor in settled:
                 continue
-            candidate = dist + topology.cost(node, neighbor)
+            candidate = dist + cost
             best = distance.get(neighbor)
             if best is None or candidate < best:
                 distance[neighbor] = candidate
                 predecessor[neighbor] = node
-                heapq.heappush(frontier, (candidate, neighbor))
+                heappush(frontier, (candidate, neighbor))
             elif candidate == best and node < predecessor[neighbor]:
                 # Equal-cost tie: prefer the smallest predecessor id so
                 # the resulting path is deterministic.

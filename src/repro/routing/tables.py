@@ -26,7 +26,8 @@ from __future__ import annotations
 import os
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.obs.profiling import PROFILER
@@ -164,6 +165,14 @@ class RoutingTable:
             raise RoutingError(
                 f"{self.node}: no route to {destination}"
             ) from None
+
+    def distances(self) -> Mapping[NodeId, float]:
+        """A read-only view of every destination's distance (this node
+        included, at 0.0), for callers that read many: one sync instead
+        of one per :meth:`distance` call.  Valid until the next cost
+        change; fetch it again after one."""
+        self._sync()
+        return MappingProxyType(self._dist)
 
     def predecessor(self, destination: NodeId) -> Optional[NodeId]:
         """``destination``'s parent in this origin's shortest-path tree

@@ -77,6 +77,12 @@ class Topology:
     _cost_listeners: List[Callable[[NodeId, NodeId, float, float], None]] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: :meth:`weighted_adjacency`'s cache, dropped by every mutation of
+    #: the node set, the link set or a cost.  Derived state: never
+    #: copied, compared or printed.
+    _weighted: Optional[Dict[NodeId, Tuple[Tuple[NodeId, float], ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Construction
@@ -122,12 +128,14 @@ class Topology:
         self._costs[(b, a)] = spec.cost_ba
         self._adjacency[a].add(b)
         self._adjacency[b].add(a)
+        self._weighted = None
 
     def _add_node(self, node: NodeId, kind: NodeKind) -> None:
         if node in self._kinds:
             raise TopologyError(f"duplicate node {node}")
         self._kinds[node] = kind
         self._adjacency[node] = set()
+        self._weighted = None
 
     # ------------------------------------------------------------------
     # Inspection
@@ -176,6 +184,25 @@ class Topology:
         self.kind(node)
         return sorted(self._adjacency[node])
 
+    def weighted_adjacency(self) -> Dict[NodeId, Tuple[Tuple[NodeId, float], ...]]:
+        """Every node's outgoing ``(neighbor, cost)`` pairs, sorted by
+        neighbor id: :meth:`neighbors` and :meth:`cost` for all nodes
+        at once, for loops that visit every edge (Dijkstra).
+
+        Built on first use and cached until the next :meth:`set_cost`,
+        :meth:`add_link` or node addition.  The mapping is shared:
+        read it, never mutate it.
+        """
+        weighted = self._weighted
+        if weighted is None:
+            costs = self._costs
+            weighted = self._weighted = {
+                node: tuple((neighbor, costs[(node, neighbor)])
+                            for neighbor in sorted(adjacent))
+                for node, adjacent in self._adjacency.items()
+            }
+        return weighted
+
     def degree(self, node: NodeId) -> int:
         """Number of links incident to ``node``."""
         self.kind(node)
@@ -202,6 +229,7 @@ class Topology:
         if cost == old:
             return
         self._costs[(a, b)] = cost
+        self._weighted = None
         for listener in self._cost_listeners:
             listener(a, b, old, cost)
 

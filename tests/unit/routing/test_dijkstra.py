@@ -1,6 +1,10 @@
 """Unit tests for the Dijkstra implementation."""
 
+import heapq
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import RoutingError
 from repro.routing.dijkstra import (
@@ -9,6 +13,7 @@ from repro.routing.dijkstra import (
     shortest_paths_from,
 )
 from repro.topology.model import Topology
+from tests.property.strategies import connected_topologies
 
 
 def diamond() -> Topology:
@@ -114,3 +119,129 @@ class TestLargerGraphs:
         )
         distance, _ = shortest_paths_from(topology, 0)
         assert distance == pytest.approx(expected)
+
+
+def reference_shortest_paths(topology: Topology, origin):
+    """Dijkstra as written before the adjacency cache: ``neighbors()``
+    and ``cost()`` per edge.  An independent reference for the cached
+    kernel, which every other routing test now goes through."""
+    topology.kind(origin)
+    distance = {origin: 0.0}
+    predecessor = {origin: None}
+    frontier = [(0.0, origin)]
+    settled = set()
+    while frontier:
+        dist, node = heapq.heappop(frontier)
+        if node in settled:
+            continue
+        settled.add(node)
+        for neighbor in topology.neighbors(node):
+            if neighbor in settled:
+                continue
+            candidate = dist + topology.cost(node, neighbor)
+            best = distance.get(neighbor)
+            if best is None or candidate < best:
+                distance[neighbor] = candidate
+                predecessor[neighbor] = node
+                heapq.heappush(frontier, (candidate, neighbor))
+            elif candidate == best and node < predecessor[neighbor]:
+                predecessor[neighbor] = node
+    return distance, predecessor
+
+
+def assert_matches_reference(topology: Topology, origin) -> None:
+    """Same values and the same dict insertion order as the reference."""
+    got = shortest_paths_from(topology, origin)
+    want = reference_shortest_paths(topology, origin)
+    for got_map, want_map in zip(got, want):
+        assert list(got_map.items()) == list(want_map.items())
+
+
+class TestCachedAdjacency:
+    def test_cache_is_reused_until_a_mutation(self):
+        topology = diamond()
+        adjacency = topology.weighted_adjacency()
+        assert topology.weighted_adjacency() is adjacency
+        assert adjacency[0] == ((1, 1.0), (2, 2.0))
+        topology.set_cost(0, 1, 1.0)  # no-op write
+        assert topology.weighted_adjacency() is adjacency
+
+    def test_set_cost_is_seen(self):
+        topology = diamond()
+        shortest_paths_from(topology, 0)
+        topology.set_cost(0, 1, 10.0)
+        distance, predecessor = shortest_paths_from(topology, 0)
+        assert distance[1] == 9.0  # 0-2-3-1 now beats the direct link
+        assert predecessor[1] == 3
+        assert_matches_reference(topology, 0)
+
+    def test_add_link_is_seen(self):
+        topology = diamond()
+        shortest_paths_from(topology, 0)
+        topology.add_link(0, 3, 1.0, 1.0)
+        distance, predecessor = shortest_paths_from(topology, 0)
+        assert (distance[3], predecessor[3]) == (1.0, 0)
+        assert_matches_reference(topology, 3)
+
+    def test_add_router_is_seen(self):
+        topology = diamond()
+        shortest_paths_from(topology, 0)
+        topology.add_router(4)
+        assert shortest_paths_from(topology, 4) == ({4: 0.0}, {4: None})
+        topology.add_link(3, 4, 3.0, 1.0)
+        assert shortest_paths_from(topology, 0)[0][4] == 5.0
+        assert_matches_reference(topology, 4)
+
+    def test_add_host_is_seen(self):
+        topology = diamond()
+        shortest_paths_from(topology, 0)
+        topology.add_host(9, attached_to=3, cost_up=1.0, cost_down=4.0)
+        distance, predecessor = shortest_paths_from(topology, 0)
+        assert (distance[9], predecessor[9]) == (6.0, 3)
+        assert_matches_reference(topology, 9)
+
+    def test_copy_does_not_share_the_cache(self):
+        topology = diamond()
+        shortest_paths_from(topology, 0)
+        clone = topology.copy()
+        assert clone.weighted_adjacency() is not topology.weighted_adjacency()
+        clone.set_cost(0, 1, 10.0)
+        assert shortest_paths_from(topology, 0)[0][1] == 1.0
+        assert shortest_paths_from(clone, 0)[0][1] == 9.0
+        topology.set_cost(0, 2, 7.0)
+        assert shortest_paths_from(clone, 0)[0][2] == 2.0
+
+    def test_cache_stays_out_of_repr_and_equality(self):
+        warm, cold = diamond(), diamond()
+        shortest_paths_from(warm, 0)
+        assert warm == cold
+        assert repr(warm) == repr(cold)
+
+
+@st.composite
+def cost_scripts(draw):
+    """A random connected topology and a sequence of directed cost
+    writes over it, in a tie-heavy cost range."""
+    topology = draw(connected_topologies(min_nodes=2, max_nodes=10))
+    directed = sorted(
+        edge for a, b in topology.undirected_edges() for edge in ((a, b), (b, a))
+    )
+    script = draw(st.lists(
+        st.tuples(st.sampled_from(directed), st.integers(1, 4)),
+        max_size=10,
+    ))
+    return topology, script
+
+
+class TestMatchesReference:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cost_scripts())
+    def test_every_origin_after_every_set_cost(self, case):
+        topology, script = case
+        for origin in topology.nodes:
+            assert_matches_reference(topology, origin)
+        for (a, b), cost in script:
+            topology.set_cost(a, b, float(cost))
+            for origin in topology.nodes:
+                assert_matches_reference(topology, origin)
