@@ -217,8 +217,9 @@ def _build_link_transmit() -> Callable[[], object]:
 def _build_workload_generate() -> Callable[[], object]:
     """10k churn events drawn lazily from a 1k-channel Zipf model —
     the stream-generation side of the churn engine, no protocol work.
-    Guards the O(1)-memory slot machinery (per-slot RNGs, thinning,
-    leave-bucket spill) against accidental materialization."""
+    Guards the lazy slot machinery (per-slot RNGs, thinning, leave
+    buckets and the current slot's leave heap) against accidental
+    materialization: the cap is reached early in the first slot."""
     from repro.workload import ChurnModel, ChurnSchedule, SessionDuration
 
     model = ChurnModel(

@@ -1,15 +1,26 @@
-"""The lazy churn stream: millions of membership events, O(1) memory.
+"""The lazy churn stream: millions of membership events, memory bounded
+by the live sessions.
 
 A :class:`ChurnSchedule` turns a :class:`~repro.workload.model.ChurnModel`
 into a deterministic, *streaming* sequence of timestamped
-:class:`MembershipEvent` join/leave pairs.  Nothing is materialised:
-the generator walks fixed-width time slots, draws each slot's arrivals
-from a slot-keyed ``random.Random`` (string-seeded, so the stream is
-identical under any ``PYTHONHASHSEED``), and parks each session's
-future leave in a rolling per-slot bucket.  Peak memory is the number
-of *concurrently active* sessions (bounded by ``rate * session.cap``),
-independent of how many events are consumed — a 1M-event stream and a
-1B-event stream hold the same state.
+:class:`MembershipEvent` join/leave pairs.  The generator walks
+fixed-width time slots and draws each slot's arrivals, in increasing
+time, from a slot-keyed ``random.Random`` (string-seeded, so the stream
+is identical under any ``PYTHONHASHSEED``).  Each join is yielded as
+soon as it is drawn, and its session's future leave is parked in a
+per-slot bucket.  The current slot's bucket is also held in a heap, and
+a leave is yielded as soon as the next drawn join passes it.  Peak
+memory is the number of *concurrently active* sessions (bounded by
+``rate * session.cap``), independent of how many events are consumed,
+and a stream capped at ``limit`` events draws only the sessions it
+emits, plus at most one.
+
+Regional departures run as soon as the draws pass their trigger time.
+A departure retimes the affected leaves in place and moves them to the
+trigger's bucket; the buckets keep insertion order, because the
+departure walk draws its own RNG in that order.  The retime edits
+entries the current slot's heap may hold, so that heap is rebuilt after
+every departure that moves a leave.
 
 Determinism contract (the Hypothesis suite pins all of it):
 
@@ -34,6 +45,7 @@ that keeps every draw attributable to one slot's RNG.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -56,10 +68,10 @@ NodeId = Hashable
 JOIN = "join"
 LEAVE = "leave"
 
-#: Default slot width (seconds of model time).  Purely an internal
-#: batching granularity: the stream's *content* is slot-width dependent
-#: (each slot owns an RNG), so ``slot`` is part of the schedule
-#: identity, like ``seed``.
+#: Default slot width (seconds of model time): the span of one arrival
+#: RNG and one leave bucket.  The stream's *content* is slot-width
+#: dependent (each slot owns an RNG), so ``slot`` is part of the
+#: schedule identity, like ``seed``.
 DEFAULT_SLOT = 64.0
 
 
@@ -168,44 +180,22 @@ class ChurnSchedule:
         seed = self.seed
         #: leave-slot index -> [leave_time, join_time, channel, site, seq]
         pending: Dict[int, List[list]] = {}
+        #: Latest trigger first, so the next one due is popped off the end.
         departures = sorted(enumerate(model.departures),
-                            key=lambda pair: (pair[1].time, pair[0]))
-        next_departure = 0
-        seq = 0
-        k = 0
-        while True:
-            slot_start = k * slot
-            slot_end = slot_start + slot
-            rng = random.Random(f"{seed}/churn/{k}")
-            joins: List[MembershipEvent] = []
-            t = slot_start
-            while True:
-                t += rng.expovariate(peak)
-                if t >= slot_end:
-                    break
-                if rng.random() * peak > rate(t):
-                    continue  # thinned away (off-peak instant)
-                channel = popularity.sample(rng)
-                site = sites[rng.randrange(n_sites)]
-                duration = session.sample(rng)
-                joins.append(MembershipEvent(
-                    time=t, kind=JOIN, channel=channel, site=site,
-                    hosts=hosts, seq=seq,
-                ))
-                leave_time = t + duration
-                pending.setdefault(int(leave_time // slot), []).append(
-                    [leave_time, t, channel, site, seq])
-                seq += 1
-            # Correlated regional departures triggering inside this
-            # slot: every session active at the trigger (joined before,
-            # leaving after) at a region site departs early with the
-            # departure's probability.  The walk order (buckets by
-            # index, entries in insertion order) and the departure's
-            # own string-seeded RNG make the retiming deterministic.
-            while (next_departure < len(departures)
-                   and departures[next_departure][1].time < slot_end):
-                index, departure = departures[next_departure]
-                next_departure += 1
+                            key=lambda pair: (pair[1].time, pair[0]),
+                            reverse=True)
+
+        def depart_before(bound: float, k: int, heap: list) -> list:
+            """Run every departure triggering before ``bound`` and
+            return slot ``k``'s leave heap, rebuilt after a retime."""
+            while departures and departures[-1][1].time < bound:
+                # Correlated regional departure: every session active
+                # at the trigger (joined before, leaving after) at a
+                # region site departs early with the departure's
+                # probability.  The walk order (buckets by index,
+                # entries in insertion order) and the departure's own
+                # string-seeded RNG make the retiming deterministic.
+                index, departure = departures.pop()
                 dep_rng = random.Random(f"{seed}/departure/{index}")
                 region = frozenset(departure.sites)
                 trigger = departure.time
@@ -225,15 +215,63 @@ class ChurnSchedule:
                             kept.append(entry)
                     pending[bucket_key] = kept
                 if moved:
-                    pending.setdefault(int(trigger // slot), []).extend(moved)
-            leaves = [
-                MembershipEvent(time=entry[0], kind=LEAVE, channel=entry[2],
-                                site=entry[3], hosts=hosts, seq=entry[4])
-                for entry in pending.pop(k, ())
-            ]
-            merged = joins + leaves
-            merged.sort(key=_event_order)
-            yield from merged
+                    target = int(trigger // slot)
+                    pending.setdefault(target, []).extend(moved)
+                    # The retime edited entries in place: drop their
+                    # stale heap items, requeue those now due in slot k.
+                    heap = [item for item in heap if item[0] == item[2][0]]
+                    if target == k:
+                        heap.extend((entry[0], entry[4], entry)
+                                    for entry in moved)
+                    heapq.heapify(heap)
+            return heap
+
+        def leave(entry: list) -> MembershipEvent:
+            return MembershipEvent(time=entry[0], kind=LEAVE,
+                                   channel=entry[2], site=entry[3],
+                                   hosts=hosts, seq=entry[4])
+
+        heappop, heappush = heapq.heappop, heapq.heappush
+        seq = 0
+        k = 0
+        while True:
+            slot_start = k * slot
+            slot_end = slot_start + slot
+            rng = random.Random(f"{seed}/churn/{k}")
+            #: Slot k's unemitted leaves as (leave_time, seq, entry).
+            heap = [(entry[0], entry[4], entry)
+                    for entry in pending.get(k, ())]
+            heapq.heapify(heap)
+            t = slot_start
+            while True:
+                t += rng.expovariate(peak)
+                if t >= slot_end:
+                    break
+                if rng.random() * peak > rate(t):
+                    continue  # thinned away (off-peak instant)
+                channel = popularity.sample(rng)
+                site = sites[rng.randrange(n_sites)]
+                duration = session.sample(rng)
+                if departures and departures[-1][1].time < t:
+                    heap = depart_before(t, k, heap)
+                while heap and heap[0][0] < t:
+                    yield leave(heappop(heap)[2])
+                yield MembershipEvent(
+                    time=t, kind=JOIN, channel=channel, site=site,
+                    hosts=hosts, seq=seq,
+                )
+                leave_time = t + duration
+                entry = [leave_time, t, channel, site, seq]
+                bucket = int(leave_time // slot)
+                pending.setdefault(bucket, []).append(entry)
+                if bucket == k:
+                    heappush(heap, (leave_time, seq, entry))
+                seq += 1
+            heap = depart_before(slot_end, k, heap)
+            heap.sort()
+            for item in heap:
+                yield leave(item[2])
+            pending.pop(k, None)
             k += 1
 
     # ------------------------------------------------------------------
@@ -259,12 +297,6 @@ class ChurnSchedule:
     def __repr__(self) -> str:
         return (f"ChurnSchedule({self.name!r}, seed={self.seed}, "
                 f"channels={self.model.channels}, sites={len(self.sites)})")
-
-
-def _event_order(event: MembershipEvent):
-    """Total order for simultaneous events: joins before leaves, then
-    the global join-draw sequence."""
-    return (event.time, 0 if event.kind == JOIN else 1, event.seq)
 
 
 def write_stream_jsonl(events: Iterable[MembershipEvent], target) -> int:

@@ -3,10 +3,15 @@
 The acceptance contract for ``experiments churn``: archives are
 byte-identical between ``--jobs 1`` and ``--jobs 2`` (sharding is fixed,
 parallelism only changes scheduling), the metrics planes all populate,
-and the stream prefix matches the committed golden.
+and the stream prefix matches the committed golden.  The scenario
+streams themselves are pinned too: a capped stream draws only the
+sessions it emits, and the regional-blackout departure window keeps
+its recorded bytes.
 """
 
+import hashlib
 import io
+import itertools
 from pathlib import Path
 
 import pytest
@@ -14,11 +19,15 @@ import pytest
 from repro.experiments.churn import (
     SHARD_COUNT,
     archive_text,
+    build_schedule,
     get_scenario,
     render_report,
     run_churn,
+    scenario_setup,
     write_stream_prefix,
 )
+from repro.workload import JOIN, LEAVE, SessionDuration
+from repro.workload.schedule import write_stream_jsonl
 
 # A trimmed ci-small keeps the whole module comfortably fast while
 # still exercising both protocols, all shards and the settle loop.
@@ -92,6 +101,46 @@ class TestGoldenStreamPrefix:
         count = write_stream_prefix("ci-small", 1, buffer, limit=256)
         assert count == 256
         assert buffer.getvalue() == golden.read_text()
+
+
+def scenario_schedule(name, seed=1):
+    scenario = get_scenario(name)
+    sites = tuple(scenario_setup(scenario, seed).candidates)
+    return build_schedule(scenario, sites, seed)
+
+
+class TestScenarioStreams:
+    @pytest.mark.parametrize("name,limit", [("iptv-primetime", 4_000),
+                                            ("ci-small", 256)])
+    def test_capped_stream_draws_only_what_it_emits(
+            self, name, limit, monkeypatch):
+        """Each emitted join costs one session draw; at most one more
+        is drawn for the join that the cap cut off."""
+        draws = []
+        sample = SessionDuration.sample
+
+        def counting_sample(self, rng):
+            draws.append(None)
+            return sample(self, rng)
+
+        monkeypatch.setattr(SessionDuration, "sample", counting_sample)
+        events = list(scenario_schedule(name).events(limit=limit))
+        joins = sum(event.kind == JOIN for event in events)
+        assert len(events) == limit
+        assert len(draws) <= joins + 1
+
+    def test_regional_blackout_window_is_pinned(self):
+        """The only scenario with a regional departure: every event with
+        296 <= t < 304 around its t = 300 trigger, as recorded from the
+        slot-at-a-time generator."""
+        stream = scenario_schedule("regional-blackout").events(start=296.0)
+        window = list(itertools.takewhile(lambda e: e.time < 304.0, stream))
+        buffer = io.StringIO()
+        assert write_stream_jsonl(window, buffer) == 30_080
+        assert sum(event.kind == LEAVE and event.time == 300.0
+                   for event in window) == 23_288
+        assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == (
+            "11652f04e7b0ce474fa100fba28bcf83e8ac33909e1a40358b6a18b270756fea")
 
 
 class TestScenarioCatalogue:

@@ -2,23 +2,30 @@
 
 The determinism contract under test: a stream is a pure function of
 (model, sites, seed, slot) — independent of process, hash seed, caller
-site-ordering, and of how the stream is sliced or sharded.
+site-ordering, and of how the stream is sliced or sharded.  The lazy
+generator is also checked differentially against the slot-at-a-time
+generator it replaced, kept here as the reference.
 """
 
 import itertools
 import os
+import random
 import subprocess
 import sys
+from typing import Dict, Iterator, List
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.workload import (
+    JOIN,
+    LEAVE,
     ChurnModel,
     ChurnSchedule,
     DiurnalCurve,
     FlashCrowd,
-    JOIN,
+    MembershipEvent,
+    RegionalDeparture,
     SessionDuration,
     ZipfPopularity,
 )
@@ -32,10 +39,34 @@ def sort_key(event):
     return (event.time, 0 if event.kind == JOIN else 1, event.seq)
 
 
+def regional_departures(times, min_size=0, max_size=3):
+    """Tuples of departures over :data:`SITES` triggering at ``times``."""
+    departure = st.builds(
+        RegionalDeparture, time=times,
+        sites=st.lists(st.sampled_from(SITES), min_size=1,
+                       unique=True).map(tuple),
+        fraction=st.floats(0.05, 1.0),
+    )
+    return st.lists(departure, min_size=min_size,
+                    max_size=max_size).map(tuple)
+
+
 @st.composite
-def churn_models(draw):
+def clustered_departures(draw, slot):
+    """One to five departures inside one slot, drawn from at most three
+    trigger instants so that equal triggers are common."""
+    slot_start = draw(st.integers(0, 1)) * slot
+    instants = draw(st.lists(st.floats(0.0, slot, exclude_max=True),
+                             min_size=1, max_size=3))
+    return draw(regional_departures(
+        st.sampled_from([slot_start + x for x in instants]),
+        min_size=1, max_size=5))
+
+
+@st.composite
+def churn_models(draw, departures=None, rates=st.floats(1.0, 50.0)):
     channels = draw(st.integers(2, 40))
-    base_rate = draw(st.floats(1.0, 50.0, allow_nan=False))
+    base_rate = draw(rates)
     kind = draw(st.sampled_from(SessionDuration.KINDS))
     scale = draw(st.floats(1.0, 30.0))
     diurnal = None
@@ -50,13 +81,104 @@ def churn_models(draw):
                              magnitude=draw(st.floats(1.0, 5.0)),
                              rise=draw(st.floats(1.0, 30.0)),
                              decay=draw(st.floats(1.0, 60.0))),)
+    if departures is None:
+        # Triggers within about the span a 120-event stream covers.
+        departures = regional_departures(st.floats(0.0, 60.0 / base_rate))
     return ChurnModel(
         channels=channels, base_rate=base_rate,
         session=SessionDuration(kind=kind, scale=scale, cap=scale * 4),
         popularity_exponent=draw(st.floats(0.0, 1.5)),
         diurnal=diurnal, flash_crowds=crowds,
+        departures=draw(departures),
         host_scale=draw(st.integers(1, 100)),
     )
+
+
+class EagerSchedule(ChurnSchedule):
+    """The reference: the generator that drew and sorted a whole slot
+    before yielding any of it (its body verbatim, but for the sort
+    key's name)."""
+
+    def _generate(self) -> Iterator[MembershipEvent]:
+        model = self.model
+        sites = self.sites
+        n_sites = len(sites)
+        popularity = model.popularity()
+        session = model.session
+        hosts = model.host_scale
+        peak = model.peak_rate()
+        rate = model.rate
+        slot = self.slot
+        seed = self.seed
+        #: leave-slot index -> [leave_time, join_time, channel, site, seq]
+        pending: Dict[int, List[list]] = {}
+        departures = sorted(enumerate(model.departures),
+                            key=lambda pair: (pair[1].time, pair[0]))
+        next_departure = 0
+        seq = 0
+        k = 0
+        while True:
+            slot_start = k * slot
+            slot_end = slot_start + slot
+            rng = random.Random(f"{seed}/churn/{k}")
+            joins: List[MembershipEvent] = []
+            t = slot_start
+            while True:
+                t += rng.expovariate(peak)
+                if t >= slot_end:
+                    break
+                if rng.random() * peak > rate(t):
+                    continue  # thinned away (off-peak instant)
+                channel = popularity.sample(rng)
+                site = sites[rng.randrange(n_sites)]
+                duration = session.sample(rng)
+                joins.append(MembershipEvent(
+                    time=t, kind=JOIN, channel=channel, site=site,
+                    hosts=hosts, seq=seq,
+                ))
+                leave_time = t + duration
+                pending.setdefault(int(leave_time // slot), []).append(
+                    [leave_time, t, channel, site, seq])
+                seq += 1
+            # Correlated regional departures triggering inside this
+            # slot: every session active at the trigger (joined before,
+            # leaving after) at a region site departs early with the
+            # departure's probability.  The walk order (buckets by
+            # index, entries in insertion order) and the departure's
+            # own string-seeded RNG make the retiming deterministic.
+            while (next_departure < len(departures)
+                   and departures[next_departure][1].time < slot_end):
+                index, departure = departures[next_departure]
+                next_departure += 1
+                dep_rng = random.Random(f"{seed}/departure/{index}")
+                region = frozenset(departure.sites)
+                trigger = departure.time
+                moved: List[list] = []
+                for bucket_key in sorted(pending):
+                    if (bucket_key + 1) * slot <= trigger:
+                        continue  # bucket ends before the trigger
+                    kept: List[list] = []
+                    for entry in pending[bucket_key]:
+                        leave_time, join_time, _channel, site, _seq = entry
+                        if (join_time <= trigger < leave_time
+                                and site in region
+                                and dep_rng.random() < departure.fraction):
+                            entry[0] = trigger
+                            moved.append(entry)
+                        else:
+                            kept.append(entry)
+                    pending[bucket_key] = kept
+                if moved:
+                    pending.setdefault(int(trigger // slot), []).extend(moved)
+            leaves = [
+                MembershipEvent(time=entry[0], kind=LEAVE, channel=entry[2],
+                                site=entry[3], hosts=hosts, seq=entry[4])
+                for entry in pending.pop(k, ())
+            ]
+            merged = joins + leaves
+            merged.sort(key=sort_key)
+            yield from merged
+            k += 1
 
 
 class TestSeedDeterminism:
@@ -126,6 +248,31 @@ class TestSlicingEquivalence:
         full = list(schedule.events(limit=90))
         resumed = list(schedule.events(limit=90, start=cut))
         assert resumed == [e for e in full if e.time >= cut]
+
+
+class TestLazyMatchesEager:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_stream_equals_the_eager_reference(self, data):
+        slot = data.draw(st.sampled_from((3.0, 8.0, 16.0)), label="slot")
+        model = data.draw(churn_models(clustered_departures(slot),
+                                       rates=st.floats(5.0, 15.0)),
+                          label="model")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        # Always finite: a shard matching no event would never end.
+        limit = data.draw(st.integers(1, 2_500) | st.integers(1_500, 2_500),
+                          label="limit")
+        shards = data.draw(st.integers(1, 4), label="shards")
+        shard = data.draw(st.integers(0, shards - 1), label="shard")
+        channels = (None if shards == 1
+                    else range(shard, model.channels, shards))
+        start = data.draw(st.just(0.0) | st.floats(0.0, 3 * slot),
+                          label="start")
+        window = dict(limit=limit, channels=channels, start=start)
+        lazy = ChurnSchedule(model, SITES, seed=seed, slot=slot)
+        eager = EagerSchedule(model, SITES, seed=seed, slot=slot)
+        assert list(lazy.events(**window)) == list(eager.events(**window))
 
 
 class TestModelBounds:
