@@ -30,6 +30,7 @@ from repro.errors import ProtocolError, RoutingError, SimulationError
 from repro.netsim.node import Agent
 from repro.netsim.packet import DataPayload, Packet
 from repro.obs.causal import DATA, FUSION, JOIN, TREE
+from repro.obs.registry import Counter
 from repro.obs.timeline import (
     BRANCH_ADD,
     BRANCH_REMOVE,
@@ -49,6 +50,9 @@ class HbhRouterAgent(Agent):
         super().__init__()
         self.timing = timing or ProtocolTiming()
         self.states: Dict[Channel, HbhChannelState] = {}
+        #: ``control.rule_events`` counters by message kind, resolved
+        #: from the network's registry on first use.
+        self._rule_events: Dict[str, Counter] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -448,9 +452,14 @@ class HbhRouterAgent(Agent):
         driver's ``messages_processed`` counter — and into the
         timeline's windowed control-load series when enabled."""
         network = self.node.network
-        network.metrics.inc(
-            "control.rule_events", protocol="hbh", message=message
-        )
+        counter = self._rule_events.get(message)
+        if counter is None:
+            # Resolved once: registry.inc() would build and sort the
+            # label key on every control message.
+            counter = self._rule_events[message] = network.metrics.counter(
+                "control.rule_events", protocol="hbh", message=message
+            )
+        counter.value += 1.0
         timeline = network.timeline
         if timeline.enabled:
             timeline.control(now, "hbh", str(channel))

@@ -33,6 +33,12 @@ from repro.obs.profiling import PROFILER
 from repro.obs.registry import MetricsRegistry
 
 
+#: Targets that write a ``--save`` archive, and the ones that render an
+#: archived sweep back with ``--load``; any other target rejects the flag.
+SAVE_TARGETS = sorted(FIGURE_METRICS) + ["churn", "flows"]
+LOAD_TARGETS = sorted(FIGURE_METRICS)
+
+
 def _progress_printer(quiet: bool):
     if quiet:
         return None
@@ -414,13 +420,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("--csv", default="", help="also write CSV here")
     parser.add_argument("--save", default="",
-                        help="archive the sweep result as JSON here")
+                        help="archive the result as JSON here (figure "
+                             "targets, 'churn' and 'flows')")
     parser.add_argument("--load", default="",
                         help="render a previously archived sweep instead "
-                             "of re-simulating")
+                             "of re-simulating (figure targets)")
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     args = parser.parse_args(argv)
+    for flag, honoured in (("save", SAVE_TARGETS), ("load", LOAD_TARGETS)):
+        if getattr(args, flag) and args.target not in honoured:
+            parser.error(f"--{flag} is not supported by {args.target!r}; "
+                         f"it is honoured by {', '.join(honoured)}")
 
     tracer = flight = None
     if args.trace_out or args.flight_out or args.target == "explain":

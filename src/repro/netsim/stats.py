@@ -42,56 +42,60 @@ class TransmissionTally:
     max_copies_on_link: int
 
 
+class _KindCounters:
+    """One traffic class's counters: copies per directed link, the
+    cost-weighted total, and the mirrored registry counters (``None``
+    without a registry)."""
+
+    __slots__ = ("copies", "weighted", "mirror_copies", "mirror_weighted")
+
+    def __init__(self, kind: PacketKind,
+                 registry: Optional[MetricsRegistry]) -> None:
+        self.copies: Dict[DirectedLink, int] = defaultdict(int)
+        self.weighted = 0.0
+        self.mirror_copies: Optional[Counter] = None
+        self.mirror_weighted: Optional[Counter] = None
+        if registry is not None:
+            label = kind.name.lower()
+            self.mirror_copies = registry.counter("net.tx.copies",
+                                                  kind=label)
+            self.mirror_weighted = registry.counter("net.tx.weighted_cost",
+                                                    kind=label)
+
+
 class LinkCounters:
     """Per-directed-link transmission counters."""
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self._copies: Dict[PacketKind, Dict[DirectedLink, int]] = {
-            kind: defaultdict(int) for kind in PacketKind
+        self._kinds: Dict[PacketKind, _KindCounters] = {
+            kind: _KindCounters(kind, registry) for kind in PacketKind
         }
-        self._weighted: Dict[PacketKind, float] = {kind: 0.0 for kind in PacketKind}
-        # record() runs once per transmission: resolve the per-kind
-        # dicts into plain attributes so the hot path dispatches on an
-        # identity test instead of hashing a PacketKind enum twice.
-        # These alias the SAME defaultdicts the query API reads.
-        self._data_copies = self._copies[PacketKind.DATA]
-        self._control_copies = self._copies[PacketKind.CONTROL]
-        # Registry instruments are resolved once; record() stays cheap.
-        self._mirror_copies: Optional[Dict[PacketKind, Counter]] = None
-        self._mirror_weighted: Optional[Dict[PacketKind, Counter]] = None
-        if registry is not None:
-            self._mirror_copies = {
-                kind: registry.counter("net.tx.copies",
-                                       kind=kind.name.lower())
-                for kind in PacketKind
-            }
-            self._mirror_weighted = {
-                kind: registry.counter("net.tx.weighted_cost",
-                                       kind=kind.name.lower())
-                for kind in PacketKind
-            }
+        # record() runs once per transmission: it picks a record by an
+        # identity test instead of hashing a PacketKind enum.
+        self._data = self._kinds[PacketKind.DATA]
+        self._control = self._kinds[PacketKind.CONTROL]
 
     def record(self, src: NodeId, dst: NodeId, cost: float,
                kind: PacketKind) -> None:
         """Record one packet copy crossing the directed link src->dst."""
-        if kind is PacketKind.DATA:
-            self._data_copies[(src, dst)] += 1
-        else:
-            self._control_copies[(src, dst)] += 1
-        self._weighted[kind] += cost
-        if self._mirror_copies is not None:
+        counters = self._data if kind is PacketKind.DATA else self._control
+        counters.copies[(src, dst)] += 1
+        counters.weighted += cost
+        mirror = counters.mirror_copies
+        if mirror is not None:
             # Direct .value bumps: Counter.inc() only adds a
             # non-negativity check, and link costs are validated
             # positive at topology construction.
-            self._mirror_copies[kind].value += 1
-            self._mirror_weighted[kind].value += cost  # type: ignore[index]
+            mirror.value += 1
+            counters.mirror_weighted.value += cost  # type: ignore[union-attr]
 
     def tally(self, kind: PacketKind) -> TransmissionTally:
         """Aggregate statistics for one traffic class."""
-        per_link = self._copies[kind]
+        counters = self._kinds[kind]
+        per_link = counters.copies
         return TransmissionTally(
             copies=sum(per_link.values()),
-            weighted_cost=self._weighted[kind],
+            weighted_cost=counters.weighted,
             links_used=len(per_link),
             max_copies_on_link=max(per_link.values(), default=0),
         )
@@ -99,25 +103,25 @@ class LinkCounters:
     def copies_on(self, src: NodeId, dst: NodeId,
                   kind: PacketKind = PacketKind.DATA) -> int:
         """Copies of ``kind`` traffic that crossed the directed link."""
-        return self._copies[kind].get((src, dst), 0)
+        return self._kinds[kind].copies.get((src, dst), 0)
 
     def per_link(self, kind: PacketKind = PacketKind.DATA
                  ) -> Dict[DirectedLink, int]:
         """Copy counts keyed by directed link (a plain dict snapshot)."""
-        return dict(self._copies[kind])
+        return dict(self._kinds[kind].copies)
 
     def busiest(self, k: int = 10, kind: PacketKind = PacketKind.DATA
                 ) -> List[Tuple[DirectedLink, int]]:
         """The ``k`` directed links carrying the most copies of
         ``kind`` traffic, hottest first (ties broken by link string,
         so the order is deterministic)."""
-        return sorted(self._copies[kind].items(),
+        return sorted(self._kinds[kind].copies.items(),
                       key=lambda item: (-item[1], str(item[0])))[:k]
 
     def reset(self) -> None:
         """Zero the per-link tallies (e.g. between control convergence
         and the data-plane measurement).  Mirrored registry counters
         stay cumulative — see the module docstring."""
-        for kind in PacketKind:
-            self._copies[kind].clear()
-            self._weighted[kind] = 0.0
+        for counters in self._kinds.values():
+            counters.copies.clear()
+            counters.weighted = 0.0

@@ -398,7 +398,15 @@ class UnicastRouting:
 
     def next_hop(self, node: NodeId, destination: NodeId) -> NodeId:
         """Next hop at ``node`` for traffic toward ``destination``."""
-        return self.table(node).next_hop(destination)
+        # Per-hop path: a synced table is read in place; table() is
+        # called only to build or repair one.
+        table = self._tables.get(node)
+        if table is None or table.applied_seq != self._seq:
+            table = self.table(node)
+        hop = table._next_hops.get(destination)
+        if hop is None:
+            return table.next_hop(destination)  # memoizes, or raises
+        return hop
 
     def path(self, origin: NodeId, destination: NodeId) -> List[NodeId]:
         """The full unicast path ``[origin, ..., destination]``.
@@ -447,7 +455,13 @@ class UnicastRouting:
         """Directed shortest-path cost from ``origin`` to ``destination``."""
         if origin == destination:
             return 0.0
-        return self.table(origin).distance(destination)
+        table = self._tables.get(origin)
+        if table is None or table.applied_seq != self._seq:
+            table = self.table(origin)
+        distance = table._dist.get(destination)
+        if distance is None:
+            return table.distance(destination)  # raises RoutingError
+        return distance
 
     def invalidate(self) -> None:
         """Drop every cached table and path, advancing

@@ -29,10 +29,10 @@ exactly one place.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Dict, Iterable, Iterator, Optional
 
 from repro.netsim.faults import FaultInjector, RoundFaultPlayer
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.workload.membership import MembershipLedger
 from repro.workload.schedule import JOIN, LEAVE, MembershipEvent
 
@@ -65,6 +65,7 @@ class RoundChurnPlayer:
         self.registry = registry
         self.ledger = ledger if ledger is not None else MembershipLedger()
         self.labels = dict(labels or {})
+        self._counters: Dict[str, Counter] = {}
         self.exhausted = False
         self.events_applied = 0
         self.faults_seen = 0
@@ -126,7 +127,13 @@ class RoundChurnPlayer:
 
     def _count(self, name: str, value: float) -> None:
         if self.registry is not None:
-            self.registry.inc(name, float(value), **self.labels)
+            counter = self._counters.get(name)
+            if counter is None:
+                # Resolved once per name: registry.inc() would build
+                # and sort the label key on every event.
+                counter = self._counters[name] = self.registry.counter(
+                    name, **self.labels)
+            counter.inc(float(value))
 
     def __repr__(self) -> str:
         return (f"RoundChurnPlayer(applied={self.events_applied}, "
@@ -162,6 +169,7 @@ class ChurnInjector:
         self.ledger = ledger if ledger is not None else MembershipLedger()
         self.time_offset = time_offset
         self.labels = dict(labels or {})
+        self._counters: Dict[str, Counter] = {}
         self.events_applied = 0
         self.exhausted = False
 
@@ -204,9 +212,7 @@ class ChurnInjector:
         self.events_applied += 1
         self._schedule_next()
 
-    def _count(self, name: str, value: float) -> None:
-        if self.registry is not None:
-            self.registry.inc(name, float(value), **self.labels)
+    _count = RoundChurnPlayer._count
 
     def __repr__(self) -> str:
         return (f"ChurnInjector(applied={self.events_applied}, "

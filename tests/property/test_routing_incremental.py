@@ -83,19 +83,30 @@ def repair_cases(draw):
     return topology, warm, events
 
 
-def _assert_origin_parity(routing, topology, origin):
-    """``origin``'s cached table is bit-identical to a fresh Dijkstra."""
-    dist, pred = shortest_paths_from(topology, origin)
-    table = routing.table(origin)
-    assert table._dist == dist, f"distances diverged at origin {origin}"
-    assert table._pred == pred, f"predecessors diverged at origin {origin}"
-
-
 def _oracle_first_hop(pred, origin, destination):
     cursor = destination
     while pred[cursor] != origin:
         cursor = pred[cursor]
     return cursor
+
+
+def _assert_origin_parity(routing, topology, origin):
+    """``origin``'s routes, read through the view and then from its
+    cached table, are bit-identical to a fresh Dijkstra."""
+    dist, pred = shortest_paths_from(topology, origin)
+    # The view first, before routing.table() syncs the table: its
+    # per-hop reads must notice pending deltas on their own.
+    destinations = sorted(d for d in dist if d != origin)
+    for destination in destinations:
+        assert routing.distance(origin, destination) == dist[destination], \
+            f"view distance {origin}->{destination} diverged"
+    for destination in destinations:
+        assert routing.next_hop(origin, destination) == _oracle_first_hop(
+            pred, origin, destination), \
+            f"view next hop {origin}->{destination} diverged"
+    table = routing.table(origin)
+    assert table._dist == dist, f"distances diverged at origin {origin}"
+    assert table._pred == pred, f"predecessors diverged at origin {origin}"
 
 
 class TestIncrementalRepairDifferential:
@@ -160,13 +171,11 @@ class TestIncrementalRepairDifferential:
         # Final sweep: every origin (cached or not) must be canonical,
         # including the derived next hops.
         for origin in sorted(topology.routers):
-            dist, pred = shortest_paths_from(topology, origin)
+            _assert_origin_parity(routing, topology, origin)
             table = routing.table(origin)
-            assert table._dist == dist
-            assert table._pred == pred
             for destination in table.destinations():
                 assert table.next_hop(destination) == _oracle_first_hop(
-                    pred, origin, destination)
+                    table._pred, origin, destination)
 
     @FUZZ
     @given(repair_cases())

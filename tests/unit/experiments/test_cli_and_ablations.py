@@ -31,6 +31,43 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    @pytest.mark.parametrize("target", [
+        "all", "claims", "ablations", "report", "baseline", "bench",
+        "faults", "explain", "timeline",
+    ])
+    def test_save_rejected_where_ignored(self, target, tmp_path, capsys):
+        archive = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main([target, "--save", str(archive)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--save is not supported by {target!r}" in err
+        assert "fig7a, fig7b, fig8a, fig8b, scale10k, churn, flows" in err
+        assert not archive.exists()
+
+    @pytest.mark.parametrize("target", [
+        "all", "claims", "ablations", "report", "baseline", "bench",
+        "faults", "explain", "timeline", "churn", "flows",
+    ])
+    def test_load_rejected_where_ignored(self, target, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([target, "--load", str(tmp_path / "in.json")])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--load is not supported by {target!r}" in err
+        assert "fig7a, fig7b, fig8a, fig8b, scale10k" in err
+
+    def test_figure_save_writes_an_archive_load_renders(self, tmp_path,
+                                                        capsys):
+        archive = tmp_path / "fig7a.json"
+        assert main(["fig7a", "--runs", "2", "--quiet",
+                     "--save", str(archive)]) == 0
+        saved = capsys.readouterr().out
+        assert archive.stat().st_size > 0
+        assert main(["fig7a", "--load", str(archive)]) == 0
+        loaded = capsys.readouterr().out
+        assert loaded.split("elapsed")[0] == saved.split("elapsed")[0]
+
     def test_progress_goes_to_stderr(self, capsys):
         main(["fig7a", "--runs", "2"])
         err = capsys.readouterr().err

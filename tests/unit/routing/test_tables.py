@@ -87,3 +87,57 @@ class TestUnicastRouting:
         routing = UnicastRouting(line_topology(6))
         assert routing.distance(0, 5) == 5.0
         assert routing.path(0, 5) == [0, 1, 2, 3, 4, 5]
+
+
+class TestViewReads:
+    """``UnicastRouting.next_hop``/``distance`` read a synced table in
+    place; they must answer and fail exactly as the table does."""
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_next_hop_errors_match_the_table(self, routing, warm):
+        if warm:
+            routing.next_hop(0, 12)  # the table is cached and synced
+        for destination in (0, 99):  # self, then an unknown node
+            with pytest.raises(RoutingError) as view:
+                routing.next_hop(0, destination)
+            with pytest.raises(RoutingError) as table:
+                routing.table(0).next_hop(destination)
+            assert str(view.value) == str(table.value)
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_distance_errors_match_the_table(self, routing, warm):
+        if warm:
+            routing.distance(0, 12)
+        assert routing.distance(0, 0) == routing.table(0).distance(0) == 0.0
+        with pytest.raises(RoutingError) as view:
+            routing.distance(0, 99)
+        with pytest.raises(RoutingError) as table:
+            routing.table(0).distance(99)
+        assert str(view.value) == str(table.value) == "0: no route to 99"
+
+    def test_set_cost_shows_on_the_next_call(self, fig2_topology):
+        routing = UnicastRouting(fig2_topology)
+        assert routing.next_hop(0, 12) == 4  # memoized in the table
+        assert routing.distance(0, 12) == 2.0
+        fig2_topology.set_cost(0, 4, 100.0)
+        assert routing.next_hop(0, 12) == 1
+        fig2_topology.set_cost(0, 4, 1.0)
+        assert routing.distance(0, 12) == 2.0
+        fig2_topology.set_cost(0, 4, 100.0)
+        assert routing.distance(0, 12) == 4.0
+
+    @pytest.mark.parametrize("first", ["next_hop", "distance"])
+    def test_invalidate_shows_on_the_next_call(self, fig2_topology, first):
+        routing = UnicastRouting(fig2_topology)
+        before = {"next_hop": 4, "distance": 2.0}
+        after = {"next_hop": 12, "distance": 1.0}
+        for read in before:
+            assert getattr(routing, read)(0, 12) == before[read]
+        # A structural change is not a cost delta: the view keeps its
+        # tables until invalidate() drops them.
+        fig2_topology.add_link(0, 12)
+        assert getattr(routing, first)(0, 12) == before[first]
+        routing.invalidate()
+        assert getattr(routing, first)(0, 12) == after[first]
+        for read in after:
+            assert getattr(routing, read)(0, 12) == after[read]
