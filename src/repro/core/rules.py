@@ -7,6 +7,26 @@ The functions are *pure* with respect to I/O (they mutate only the
 passed-in table state), so the event-driven agents and the round-based
 static driver execute byte-for-byte identical protocol logic.
 
+Every steady-state outcome is a shared, read-only list, rebuilt only
+when the table it describes changes: soft state makes most messages
+refreshes that return what the same router returned a period earlier.
+
+* a pure forward or pure consume returns :data:`FORWARD_ONLY` or
+  :data:`CONSUME_ONLY`;
+* a tree transit at a branching node (tree rules 2, 3 and 8) returns
+  :attr:`Mft.transit <repro.core.tables.Mft.transit>`, which every
+  change to the MFT's address set drops (``add``, ``remove``, a t2
+  removal in ``expire``);
+* a join interception (join rule 3) returns
+  :attr:`HbhChannelState.intercept
+  <repro.core.tables.HbhChannelState.intercept>`, kept for the
+  router's lifetime;
+* a regeneration (tree rule 1) returns a fresh list, since freshness
+  changes it, of the ``OriginateTree`` actions kept per address in
+  :attr:`Mft.tree_actions <repro.core.tables.Mft.tree_actions>`.
+
+Consumers iterate or compare results and must never mutate one.
+
 Rule numbering in comments follows the paper's Fig. 9 captions.
 """
 
@@ -69,20 +89,24 @@ Action = Union[Forward, Consume, OriginateJoin, OriginateTree, OriginateFusion]
 _FORWARD = Forward()
 _CONSUME = Consume()
 
-#: Shared result lists for the two no-side-channel outcomes.  Rule
-#: results are read-only by convention (every consumer iterates or
-#: compares them), which lets the pure-forward/pure-consume cases skip
-#: the list allocation too — and lets hot callers identity-test
+#: Shared result lists for the two no-side-channel outcomes.  Like
+#: every steady-state result (module docstring), they are read-only:
+#: consumers iterate or compare them.  Hot callers identity-test
 #: ``actions is FORWARD_ONLY`` to bypass action dispatch entirely.
 FORWARD_ONLY: List[Action] = [_FORWARD]
 CONSUME_ONLY: List[Action] = [_CONSUME]
 
 
-def _fusion_payload(mft: Mft) -> Tuple[Addr, ...]:
-    """What a branching node lists in its fusion messages: "all the
-    nodes that B maintains in its MFT - the nodes for which B is
-    branching node" (Appendix A)."""
-    return mft.address_tuple()
+def _transit(mft: Mft) -> List[Action]:
+    """Build tree rules 2, 3 and 8's outcome: forward the tree message
+    and send a fusion listing "all the nodes that B maintains in its
+    MFT - the nodes for which B is branching node" (Appendix A).  The
+    MFT keeps it until its address set changes, so callers read
+    ``mft.transit`` first."""
+    transit = mft.transit = [
+        _FORWARD, OriginateFusion(receivers=mft.address_tuple())
+    ]
+    return transit
 
 
 # ----------------------------------------------------------------------
@@ -147,7 +171,12 @@ def process_join(
         return FORWARD_ONLY
     # rule 3
     entry.refresh_by_join(now)
-    return [_CONSUME, OriginateJoin(joiner=self_addr)]
+    intercept = state.intercept
+    if intercept is None or intercept[1].joiner != self_addr:
+        intercept = state.intercept = [
+            _CONSUME, OriginateJoin(joiner=self_addr)
+        ]
+    return intercept
 
 
 def process_join_at_source(
@@ -208,17 +237,19 @@ def process_tree(
     if mft is not None:
         if target == self_addr:  # rule 1
             actions: List[Action] = [_CONSUME]
-            actions.extend(
-                OriginateTree(target=x)
-                for x in mft.tree_targets(now, timing)
-            )
+            tree_actions = mft.tree_actions
+            for x in mft.tree_targets(now, timing):
+                action = tree_actions.get(x)
+                if action is None:
+                    action = tree_actions[x] = OriginateTree(target=x)
+                actions.append(action)
             return actions
         entry = mft.get(target)
         if entry is None:  # rule 2
             mft.add(target, now)
         else:  # rule 3
             entry.refresh_by_tree(now)
-        return [_FORWARD, OriginateFusion(receivers=_fusion_payload(mft))]
+        return mft.transit or _transit(mft)
 
     if target == self_addr:
         # A tree message for this node but no MFT here: nothing to
@@ -243,7 +274,7 @@ def process_tree(
     mft.add(previous, mct.entry.refreshed_at)
     mft.add(target, now)
     state.mft = mft
-    return [_FORWARD, OriginateFusion(receivers=_fusion_payload(mft))]
+    return _transit(mft)
 
 
 # ----------------------------------------------------------------------

@@ -433,12 +433,15 @@ class StaticHbh(RoundDriver):
         walked once and left to age out over subsequent rounds.
         Duplicates are dropped when sent, before a message is built;
         the queue is FIFO, so the first send of each message is the
-        one walked, in the order it was sent.
+        one walked, in the order it was sent.  Untraced walks drop a
+        repeated transit outcome before even that (see
+        :meth:`_walk_tree_fast`).
         """
         queue: Deque[
             Tuple[NodeId, Union[TreeMessage, FusionMessage], Optional[Span]]
         ] = deque()
         seen: Set[Tuple] = set()
+        transits: Dict[NodeId, List] = {}
         channel = self.channel
         tree_messages = self._tree_msg_cache
 
@@ -487,7 +490,7 @@ class StaticHbh(RoundDriver):
             if not tracing:
                 if is_tree:
                     self._walk_tree_fast(origin, message, send_tree,
-                                         send_fusion, now)
+                                         send_fusion, transits, now)
                 else:
                     self._walk_fusion(origin, message)
             elif is_tree:
@@ -562,13 +565,20 @@ class StaticHbh(RoundDriver):
 
     def _walk_tree_fast(self, origin: NodeId, message: TreeMessage,
                         send_tree: Callable, send_fusion: Callable,
+                        transits: Dict[NodeId, List],
                         now: float) -> None:
         """Untraced tree walk over a precomputed plan (see
         :meth:`_walk_join_fast`): only the rule-applying hops do
         anything, and each needs its full-path predecessor as
         ``arrived_from`` (the upstream interface the tree message
         arrived on).  Callers must have called :meth:`_sync_plans` this
-        round."""
+        round.
+
+        ``transits`` maps each node to the last transit outcome it sent
+        this round.  A rule returns the same list object only while the
+        node's MFT keeps its address set, so the fusion it asks for is
+        one ``send_fusion`` already dropped as a duplicate: the walk
+        skips the dispatch."""
         self.messages_processed += 1
         timing = self.timing
         states = self.states
@@ -600,6 +610,11 @@ class StaticHbh(RoundDriver):
                                    timing, arrived_from=arrived_from)
             if actions is FORWARD_ONLY:
                 continue
+            mft = state.mft
+            if mft is not None and actions is mft.transit:
+                if transits.get(current) is actions:
+                    continue
+                transits[current] = actions
             consumed = False
             for action in actions:
                 cls = action.__class__

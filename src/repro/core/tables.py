@@ -20,8 +20,8 @@ explicit ``now`` so the same tables serve the event-driven simulator
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Hashable, Iterator, List, Optional
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional
 
 Addr = Hashable
 
@@ -55,7 +55,7 @@ class ProtocolTiming:
 ROUND_TIMING = ProtocolTiming(join_period=1.0, tree_period=1.0, t1=2.5, t2=4.5)
 
 
-@dataclass
+@dataclass(slots=True)
 class MftEntry:
     """One MFT entry: a receiver or the next downstream branching node.
 
@@ -129,10 +129,28 @@ class Mft:
 
     Order-preserving: iteration follows insertion order, which keeps
     the simulation deterministic.
+
+    The table also caches rule results for :mod:`repro.core.rules`,
+    which fills both caches; their contents are shared and read-only.
+    :attr:`transit` depends on the address set, so every change to it
+    (:meth:`add`, :meth:`remove`, a t2 removal in :meth:`expire`)
+    drops it; :attr:`tree_actions` depends on nothing but each address
+    and is never dropped.
     """
 
     def __init__(self) -> None:
         self._entries: Dict[Addr, MftEntry] = {}
+        #: ``get(address)``: the entry for ``address``, or None.  The
+        #: entry dict's own bound ``get``, so the rules' hottest lookup
+        #: runs without a Python frame.  A ``copy.copy`` or
+        #: ``copy.deepcopy`` of the table would keep reading the
+        #: original's dict through it (nothing copies an MFT).
+        self.get: Callable[[Addr], Optional[MftEntry]] = self._entries.get
+        #: Tree rules 2, 3 and 8's transit outcome, ``[Forward(),
+        #: OriginateFusion(<addresses>)]``, or None until built.
+        self.transit: Optional[List[Any]] = None
+        #: Tree rule 1's ``OriginateTree`` action per address.
+        self.tree_actions: Dict[Addr, Any] = {}
         #: Lower bound on the oldest ``refreshed_at`` in the table.
         #: Refreshes only ever *raise* an entry's timestamp and removals
         #: only raise the true minimum, so the bound stays valid without
@@ -151,10 +169,6 @@ class Mft:
     def __iter__(self) -> Iterator[MftEntry]:
         return iter(list(self._entries.values()))
 
-    def get(self, address: Addr) -> Optional[MftEntry]:
-        """The entry for ``address``, or None."""
-        return self._entries.get(address)
-
     def entries(self):
         """A *live* view of the entries in insertion order.  For read
         passes that do not mutate the table (``__iter__`` copies so
@@ -170,6 +184,7 @@ class Mft:
                          marked_at=now if marked else None,
                          forced_stale=forced_stale)
         self._entries[address] = entry
+        self.transit = None
         if now < self._oldest:
             self._oldest = now
         return entry
@@ -177,6 +192,7 @@ class Mft:
     def remove(self, address: Addr) -> None:
         """Drop the entry for ``address`` (KeyError if absent)."""
         del self._entries[address]
+        self.transit = None
 
     def addresses(self) -> List[Addr]:
         """All entry addresses in insertion order."""
@@ -200,6 +216,8 @@ class Mft:
         dead = [e for e in entries.values() if (now - e.refreshed_at) >= t2]
         for entry in dead:
             del entries[entry.address]
+        if dead:
+            self.transit = None
         self._oldest = min(
             (e.refreshed_at for e in entries.values()), default=float("inf")
         )
@@ -237,7 +255,7 @@ class Mft:
         return f"MFT[{', '.join(parts)}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class MctEntry:
     """The single entry of a non-branching router's MCT."""
 
@@ -286,7 +304,7 @@ class Mct:
         return f"MCT[{self.entry.address}]"
 
 
-@dataclass
+@dataclass(slots=True)
 class HbhChannelState:
     """One router's HBH state for one channel: an MCT *or* an MFT.
 
@@ -300,11 +318,18 @@ class HbhChannelState:
     through on an asymmetric reverse route (which it must relay
     untouched, or parent and child would adopt each other and loop the
     data plane).
+
+    ``intercept`` is join rule 3's outcome, ``[Consume(),
+    OriginateJoin(<router>)]``, shared and read-only; the rules build
+    it on first use and keep it, since it depends only on the router's
+    address.
     """
 
     mct: Optional[Mct] = None
     mft: Optional[Mft] = None
     upstream: Optional[Addr] = None
+    intercept: Optional[List[Any]] = field(default=None, repr=False,
+                                           compare=False)
 
     @property
     def is_branching(self) -> bool:

@@ -82,7 +82,8 @@ def _report(result: SweepResult, figure: str, csv_path: str = "") -> None:
     print(render_ci_table(result, metric))
     print()
     print(render_ascii_plot(result, metric))
-    print(f"\nelapsed: {result.elapsed_seconds:.1f}s")
+    # Wall time varies run to run; stdout stays byte-reproducible.
+    print(f"elapsed: {result.elapsed_seconds:.1f}s", file=sys.stderr)
     if csv_path:
         with open(csv_path, "w") as handle:
             handle.write(to_csv(result))
@@ -152,7 +153,7 @@ def _run_report(figure: str, runs: int, profile: bool,
     print(f"== per-channel metrics ({config.name}, "
           f"{config.runs} runs/point) ==")
     print(render_channel_metrics(registry))
-    print(f"\nelapsed: {result.elapsed_seconds:.1f}s")
+    print(f"elapsed: {result.elapsed_seconds:.1f}s", file=sys.stderr)
     if profile:
         print("\n== profile (wall-clock timer tree) ==")
         print(render_profile())

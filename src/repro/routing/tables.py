@@ -8,11 +8,15 @@ The split mirrors reality: a router only ever consults *its own* table
 (``next_hop``), while the experiment harness uses the global view for
 path and delay calculations.
 
-Cost changes are tracked *incrementally*: the routing view registers a
-cost listener on its topology, appends every effective ``set_cost`` to
-a delta log, and repairs each cached table lazily — on its next query —
-via :func:`repro.routing.incremental.repair_tree`, touching only the
-origins whose trees the deltas actually cross.  A per-origin
+Cost changes are tracked *incrementally*: a :class:`DeltaLog` listens
+on the topology, appends every effective ``set_cost``, and repairs each
+table lazily — on its next query — via
+:func:`repro.routing.incremental.repair_tree`, touching only the
+origins whose trees the deltas actually cross.  The view and each of
+its tables hold the log, and the log holds the topology; nothing
+points back (the topology's listener and its :func:`shared_routing`
+memo refer weakly), so a dropped view is freed at once with its tables
+and distance maps, not at the next full collection.  A per-origin
 ``generation`` counter lets downstream memoizers (the static drivers'
 walk plans, the on-SPT cache) revalidate per origin instead of
 rebuilding wholesale.  Setting ``REPRO_ROUTING_FULL=1`` in the
@@ -75,43 +79,43 @@ class RoutingTable:
     Stores the origin's shortest-path tree sparsely — the ``(distance,
     predecessor)`` maps — and derives next hops on demand by walking a
     predecessor chain once, memoizing the whole chain (every node on it
-    shares the same first hop).  A table owned by a
+    shares the same first hop).  A table built by a
     :class:`UnicastRouting` synchronises itself on every query: one
-    integer compare against the owner's delta sequence, then a lazy
-    repair when costs changed since the last read.  Holders may
-    therefore keep a table reference indefinitely; it never goes
-    silently stale.
+    integer compare against its :class:`DeltaLog`'s sequence, then a
+    lazy repair when costs changed since the last read.  Holders may
+    therefore keep a table reference indefinitely, with or without its
+    view; it never goes silently stale.
 
     :attr:`generation` bumps only when *this origin's* routes actually
     changed, so memoizers of per-origin route facts can revalidate
     without a wholesale flush.
     """
 
-    __slots__ = ("node", "_dist", "_pred", "_next_hops", "_owner",
-                 "applied_seq", "generation")
+    __slots__ = ("node", "_dist", "_pred", "_next_hops", "_deltas",
+                 "applied_seq", "generation", "__weakref__")
 
     def __init__(
         self,
         node: NodeId,
         distances: Dict[NodeId, float],
         predecessors: Dict[NodeId, Optional[NodeId]],
-        owner: Optional["UnicastRouting"] = None,
+        deltas: Optional["DeltaLog"] = None,
     ) -> None:
         self.node = node
         self._dist = distances
         self._pred = predecessors
         self._next_hops: Dict[NodeId, NodeId] = {}
-        self._owner = owner
-        #: The owner delta-log sequence this table has applied.
-        self.applied_seq = 0 if owner is None else owner._seq
-        #: Bumped (to the owner's global generation) whenever a repair
+        self._deltas = deltas
+        #: The delta-log sequence this table has applied.
+        self.applied_seq = 0 if deltas is None else deltas.seq
+        #: Bumped (to the log's global generation) whenever a repair
         #: changes this origin's routes.
-        self.generation = 0 if owner is None else owner.generation
+        self.generation = 0 if deltas is None else deltas.generation
 
     def _sync(self) -> None:
-        owner = self._owner
-        if owner is not None and self.applied_seq != owner._seq:
-            owner._refresh(self)
+        deltas = self._deltas
+        if deltas is not None and self.applied_seq != deltas.seq:
+            deltas.refresh(self)
 
     def next_hop(self, destination: NodeId) -> NodeId:
         """The neighbor to which traffic for ``destination`` is forwarded.
@@ -195,87 +199,83 @@ class RoutingTable:
         return f"RoutingTable(node={self.node}, routes={len(self._dist) - 1})"
 
 
-class UnicastRouting:
-    """Shortest-path unicast routing for a whole topology.
+class DeltaLog:
+    """The cost-delta log one routing view and its tables share.
 
-    Tables are computed on demand (one Dijkstra per *origin* node) and
-    cached.  Cost mutations arrive through the topology's cost-listener
-    hook and are applied to each cached table lazily, as incremental
-    repairs; ``invalidate()`` remains as the wholesale fallback (and is
-    still required after *structural* mutations such as ``add_link``).
-    All route queries in the library flow through this class so that
-    HBH, REUNITE and the PIM baselines see the exact same unicast
-    substrate, as the paper assumes.
+    Registers a weak cost listener on the topology, records every
+    effective ``set_cost``, and repairs tables lazily on their next
+    query (:meth:`refresh`).  It holds the topology but no view and no
+    table, so holding a table keeps only its log (and the topology)
+    alive, and the table still follows every later cost change.
     """
 
+    __slots__ = ("topology", "seq", "generation", "entries", "base", "cap",
+                 "full_recompute", "stats", "__weakref__")
+
     def __init__(self, topology: Topology) -> None:
-        topology.validate()
         self.topology = topology
-        self._tables: Dict[NodeId, RoutingTable] = {}
-        #: Full forward paths, memoized as immutable tuples so hot
-        #: consumers (the static driver's message walks) can iterate a
-        #: route without one ``next_hop`` call per hop.  Flushed
-        #: wholesale (they are cross-table facts: each hop consults its
-        #: own table) the first time a path is asked for after deltas.
-        self._paths: Dict[Tuple[NodeId, NodeId], Tuple[NodeId, ...]] = {}
-        self._paths_seq = 0
-        #: Bumped on every cost delta and by :meth:`invalidate`.
-        #: Consumers that memoize route facts (e.g. the static driver's
-        #: walk plans) compare this to learn that *something* changed,
-        #: then use :meth:`origin_generation` to keep every plan whose
-        #: origins did not.
+        #: Monotone count of cost deltas observed; each table records
+        #: the sequence it has applied.
+        self.seq = 0
+        #: Bumped on every cost delta and by
+        #: :meth:`UnicastRouting.invalidate`.  Consumers that memoize
+        #: route facts (e.g. the static driver's walk plans) compare
+        #: this to learn that *something* changed, then use
+        #: :meth:`UnicastRouting.origin_generation` to keep every fact
+        #: whose origins did not.
         self.generation = 0
-        #: Monotone count of cost deltas observed (the delta-log
-        #: sequence); each table records the sequence it has applied.
-        self._seq = 0
-        #: The log itself: ``(a, b, old_cost)`` per effective
-        #: ``set_cost``, entry ``i`` carrying sequence ``_log_base + i``
-        #: (the new cost is read off the live topology at repair time).
-        self._log: List[Tuple[NodeId, NodeId, float]] = []
-        self._log_base = 1
+        #: ``(a, b, old_cost)`` per effective ``set_cost``, entry ``i``
+        #: carrying sequence ``base + i`` (the new cost is read off the
+        #: live topology at repair time).
+        self.entries: List[Tuple[NodeId, NodeId, float]] = []
+        self.base = 1
         #: Overflow guard: past this length the oldest half of the log
         #: is dropped and tables that old fall back to a full rebuild.
-        self._log_cap = max(256, 4 * topology.num_links)
+        self.cap = max(256, 4 * topology.num_links)
         #: Escape hatch (``REPRO_ROUTING_FULL=1``): serve every refresh
         #: with a from-scratch Dijkstra instead of a repair.
         self.full_recompute = (
             os.environ.get(FULL_RECOMPUTE_ENV, "") not in ("", "0")
         )
         self.stats = RepairStats()
-        # Register weakly: the topology outliving this view (tests and
+        # Register weakly: the topology outliving this log (tests and
         # benchmarks build many views over one fixture topology) must
-        # not pin every view's table cache in memory forever.
+        # not pin every view's tables in memory forever.
         self_ref = weakref.ref(self)
 
         def _listener(a: NodeId, b: NodeId, old: float, new: float,
                       _ref=self_ref) -> None:
-            routing = _ref()
-            if routing is not None:
-                routing._on_cost_change(a, b, old, new)
+            deltas = _ref()
+            if deltas is not None:
+                deltas.record(a, b, old)
 
         topology.add_cost_listener(_listener)
 
-    # ------------------------------------------------------------------
-    # Delta intake & repair
-    # ------------------------------------------------------------------
-    def _on_cost_change(self, a: NodeId, b: NodeId,
-                        old: float, new: float) -> None:
-        self._seq += 1
+    def record(self, a: NodeId, b: NodeId, old: float) -> None:
+        """Log one effective cost change of directed edge ``a -> b``."""
+        self.seq += 1
         self.generation += 1
-        log = self._log
-        log.append((a, b, old))
-        if len(log) > self._log_cap:
-            drop = len(log) // 2
-            del log[:drop]
-            self._log_base += drop
+        entries = self.entries
+        entries.append((a, b, old))
+        if len(entries) > self.cap:
+            drop = len(entries) // 2
+            del entries[:drop]
+            self.base += drop
 
-    def _refresh(self, table: RoutingTable) -> None:
-        """Bring ``table`` up to the current delta sequence (repair or
+    def restart(self) -> None:
+        """Forget every logged delta and advance :attr:`generation`:
+        tables older than now fall back to a full rebuild."""
+        self.generation += 1
+        self.entries.clear()
+        self.base = self.seq + 1
+
+    def refresh(self, table: RoutingTable) -> None:
+        """Bring ``table`` up to the current sequence (repair or
         rebuild), bumping its generation only on real change."""
-        seq = self._seq
+        seq = self.seq
         applied = table.applied_seq
         with PROFILER.span("routing.repair"):
-            if self.full_recompute or applied + 1 < self._log_base:
+            if self.full_recompute or applied + 1 < self.base:
                 changed = self._rebuild(table)
             else:
                 # Coalesce the pending window per directed edge: the
@@ -283,10 +283,10 @@ class UnicastRouting:
                 # the live topology holds the net result.  Edges that
                 # round-tripped (down then up) net out and are skipped —
                 # the table never observed the intermediate state.
-                start = applied + 1 - self._log_base
+                start = applied + 1 - self.base
                 pending: Dict[Tuple[NodeId, NodeId], float] = {}
                 setdefault = pending.setdefault
-                for a, b, old in self._log[start:]:
+                for a, b, old in self.entries[start:]:
                     setdefault((a, b), old)
                 cost = self.topology.cost
                 deltas = []
@@ -331,6 +331,45 @@ class UnicastRouting:
         self.stats.full_rebuilds += 1
         return changed
 
+
+class UnicastRouting:
+    """Shortest-path unicast routing for a whole topology.
+
+    Tables are computed on demand (one Dijkstra per *origin* node) and
+    cached.  Cost mutations reach them through the view's
+    :class:`DeltaLog`, as lazy incremental repairs; ``invalidate()``
+    remains as the wholesale fallback (and is still required after
+    *structural* mutations such as ``add_link``).  All route queries in
+    the library flow through this class so that HBH, REUNITE and the
+    PIM baselines see the exact same unicast substrate, as the paper
+    assumes.
+    """
+
+    def __init__(self, topology: Topology) -> None:
+        topology.validate()
+        self.topology = topology
+        self._deltas = DeltaLog(topology)
+        #: Repair counters, shared with the delta log.
+        self.stats = self._deltas.stats
+        self._tables: Dict[NodeId, RoutingTable] = {}
+        #: Full forward paths, memoized as immutable tuples so hot
+        #: consumers (the static driver's message walks) can iterate a
+        #: route without one ``next_hop`` call per hop.  Flushed
+        #: wholesale (they are cross-table facts: each hop consults its
+        #: own table) the first time a path is asked for after deltas.
+        self._paths: Dict[Tuple[NodeId, NodeId], Tuple[NodeId, ...]] = {}
+        self._paths_seq = 0
+
+    @property
+    def generation(self) -> int:
+        """The delta log's global generation (:attr:`DeltaLog.generation`)."""
+        return self._deltas.generation
+
+    @property
+    def full_recompute(self) -> bool:
+        """Whether the ``REPRO_ROUTING_FULL`` escape hatch is on."""
+        return self._deltas.full_recompute
+
     def refresh_all(self) -> int:
         """Eagerly repair every cached table; returns how many changed.
 
@@ -339,11 +378,11 @@ class UnicastRouting:
         scale tests' affected-origin assertions).
         """
         changed = 0
-        seq = self._seq
+        deltas = self._deltas
         for table in self._tables.values():
             before = table.generation
-            if table.applied_seq != seq:
-                self._refresh(table)
+            if table.applied_seq != deltas.seq:
+                deltas.refresh(table)
             if table.generation != before:
                 changed += 1
         return changed
@@ -373,8 +412,9 @@ class UnicastRouting:
         table = self._tables.get(origin)
         if table is None:
             return None
-        if table.applied_seq != self._seq:
-            self._refresh(table)
+        deltas = self._deltas
+        if table.applied_seq != deltas.seq:
+            deltas.refresh(table)
         return table.generation
 
     # ------------------------------------------------------------------
@@ -384,15 +424,16 @@ class UnicastRouting:
         """The forwarding table of ``node`` (computed lazily)."""
         cached = self._tables.get(node)
         if cached is not None:
-            if cached.applied_seq != self._seq:
-                self._refresh(cached)
+            deltas = self._deltas
+            if cached.applied_seq != deltas.seq:
+                deltas.refresh(cached)
             return cached
         with PROFILER.span("routing.table_build"):
             return self._build_table(node)
 
     def _build_table(self, node: NodeId) -> RoutingTable:
         distance, predecessor = shortest_paths_from(self.topology, node)
-        table = RoutingTable(node, distance, predecessor, owner=self)
+        table = RoutingTable(node, distance, predecessor, self._deltas)
         self._tables[node] = table
         return table
 
@@ -401,7 +442,7 @@ class UnicastRouting:
         # Per-hop path: a synced table is read in place; table() is
         # called only to build or repair one.
         table = self._tables.get(node)
-        if table is None or table.applied_seq != self._seq:
+        if table is None or table.applied_seq != self._deltas.seq:
             table = self.table(node)
         hop = table._next_hops.get(destination)
         if hop is None:
@@ -426,9 +467,10 @@ class UnicastRouting:
         how it is built), cached until the next cost delta.  The tuple
         is shared — do not mutate-by-copy unless you must.
         """
-        if self._paths_seq != self._seq:
+        seq = self._deltas.seq
+        if self._paths_seq != seq:
             self._paths.clear()
-            self._paths_seq = self._seq
+            self._paths_seq = seq
         key = (origin, destination)
         cached = self._paths.get(key)
         if cached is not None:
@@ -456,7 +498,7 @@ class UnicastRouting:
         if origin == destination:
             return 0.0
         table = self._tables.get(origin)
-        if table is None or table.applied_seq != self._seq:
+        if table is None or table.applied_seq != self._deltas.seq:
             table = self.table(origin)
         distance = table._dist.get(destination)
         if distance is None:
@@ -474,10 +516,8 @@ class UnicastRouting:
         """
         self._tables.clear()
         self._paths.clear()
-        self.generation += 1
         # Dropped tables can never consume the log; restart it.
-        self._log.clear()
-        self._log_base = self._seq + 1
+        self._deltas.restart()
 
 
 def shared_routing(topology: Topology) -> UnicastRouting:
@@ -490,11 +530,16 @@ def shared_routing(topology: Topology) -> UnicastRouting:
     ``Topology.copy()`` produces a fresh instance and therefore a fresh
     routing view, which is what per-fraction/per-spread cost mutation
     needs.  Cost mutations on a live topology are tracked by the shared
-    view itself (it listens on ``set_cost``), so every holder observes
-    the repaired routes — costs are topology-level state.
+    view's :class:`DeltaLog` (it listens on ``set_cost``), so every
+    holder observes the repaired routes — costs are topology-level
+    state.
+
+    The topology refers to its view weakly: the view lives as long as
+    someone holds it, and the next call after that builds a new one.
     """
-    routing = topology.__dict__.get("_shared_routing")
+    ref = topology.__dict__.get("_shared_routing")
+    routing = None if ref is None else ref()
     if routing is None:
         routing = UnicastRouting(topology)
-        topology.__dict__["_shared_routing"] = routing
+        topology.__dict__["_shared_routing"] = weakref.ref(routing)
     return routing

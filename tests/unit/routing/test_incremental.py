@@ -135,7 +135,7 @@ class TestFullRecomputeFallbacks:
         # must take the from-scratch path — and still be right.
         for i in range(300):
             topology.set_cost(0, 1, 2.0 + (i % 2))
-        assert routing._log_base > table.applied_seq + 1
+        assert routing._deltas.base > table.applied_seq + 1
         assert table.distance(5) == 7.0  # 3 + 1 + 1 + 1 + 1
         assert routing.stats.full_rebuilds >= 1
 

@@ -1,9 +1,14 @@
 """Unit tests for routing tables and the network-wide routing view."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import RoutingError
-from repro.routing.tables import UnicastRouting
+from repro.experiments.config import make_random50_setup
+from repro.protocols.base import build_protocol
+from repro.routing.tables import UnicastRouting, shared_routing
 from repro.topology.model import Topology
 from repro.topology.random_graphs import line_topology
 
@@ -141,3 +146,43 @@ class TestViewReads:
         assert getattr(routing, first)(0, 12) == after[first]
         for read in after:
             assert getattr(routing, read)(0, 12) == after[read]
+
+
+class TestNoReferenceCycles:
+    """Views and tables form no reference cycles, so a sweep cell's
+    routing is freed as soon as the cell drops it, not at the next full
+    collection."""
+
+    def test_a_dropped_cell_frees_topology_view_and_tables(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            setup = make_random50_setup("no-cycles")
+            routing = shared_routing(setup.topology)
+            hbh = build_protocol("hbh", setup.topology, setup.source,
+                                 routing=routing)
+            for receiver in setup.candidates[:5]:
+                hbh.add_receiver(receiver)
+                hbh.converge()
+            assert hbh.distribute_data().complete
+            setup.topology.set_cost(*next(setup.topology.undirected_edges()),
+                                    7.0)
+            refs = [weakref.ref(setup.topology), weakref.ref(routing),
+                    weakref.ref(routing.table(setup.source))]
+            del setup, routing, hbh
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_shared_routing_is_one_view_while_held(self, fig2_topology):
+        routing = shared_routing(fig2_topology)
+        assert shared_routing(fig2_topology) is routing
+
+    def test_a_table_held_alone_follows_set_cost(self, fig2_topology):
+        table = UnicastRouting(fig2_topology).table(0)
+        gc.collect()
+        assert table.next_hop(12) == 4
+        fig2_topology.set_cost(0, 4, 100.0)
+        assert table.next_hop(12) == 1
+        assert table.distance(12) == 4.0
