@@ -6,8 +6,8 @@ clock without changing the outcome (the paper's scenarios have static
 membership).  This driver executes the *same* Appendix-A rules
 (:mod:`repro.core.rules`) synchronously, one protocol period per round:
 
-1. every receiver emits its periodic ``join`` (walked hop-by-hop along
-   its unicast route toward the source, applying the join rules);
+1. every receiver emits its periodic ``join`` (walked along its unicast
+   route toward the source, applying the join rules at each HBH router);
 2. the source emits ``tree`` messages for its non-stale MFT entries;
    tree messages walk forward unicast routes, applying the tree rules,
    cascading regenerated trees and ``fusion`` messages to a fixpoint
@@ -18,7 +18,10 @@ membership).  This driver executes the *same* Appendix-A rules
 The round loop, membership and convergence live in
 :class:`~repro.core.round_driver.RoundDriver`, shared with the REUNITE
 driver; this module supplies HBH's walks, tables and data plane.
-``converge()`` repeats rounds until the table state stops changing.
+Each walk follows a plan of its route, so the transparent unicast hops
+cost nothing; a traced walk is the same walk, recording on its causal
+span.  ``converge()`` repeats rounds until the table state stops
+changing.
 ``distribute_data()`` then injects one data packet and records every
 link crossing and receiver delay — the measurement the paper's figures
 are built from.
@@ -36,7 +39,6 @@ from repro.core.rules import (
     Consume,
     Forward,
     OriginateFusion,
-    OriginateJoin,
     OriginateTree,
     process_fusion,
     process_fusion_at_source,
@@ -51,8 +53,10 @@ from repro.obs.causal import DATA, FUSION, JOIN, TREE, Span
 from repro.obs.profiling import profiled
 
 NodeId = Hashable
+#: A walk plan, ``(path, steps, deps)``: see :attr:`StaticHbh._join_plans`.
+Plan = Tuple[Tuple, Tuple[Tuple, ...], Tuple[Tuple[NodeId, Optional[int]], ...]]
 
-#: Sentinel for "origin generation not queried yet" during cache
+#: Sentinel for "origin generation not queried yet" during plan
 #: revalidation (``None`` is a legitimate answer: origin not cached).
 _UNKNOWN = object()
 
@@ -68,40 +72,23 @@ class StaticHbh(RoundDriver):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.source_mft = Mft()
-        #: Memoized :meth:`_on_spt` verdicts, valid for one routing
-        #: generation.
-        self._spt_cache: Dict[Tuple[NodeId, NodeId], bool] = {}
-        #: Precomputed walk plans for the untraced fast paths: the
-        #: rule-applying hops of a route (with their full-path
-        #: predecessors for ``arrived_from``, or the on-SPT verdicts a
-        #: join walk feeds rule 3), so steady-state walks skip the
-        #: transparent unicast hops entirely.  Valid for one routing
-        #: generation, like :attr:`_spt_cache`.
-        self._join_plans: Dict[NodeId, Tuple[Tuple[NodeId, bool], ...]] = {}
-        self._tree_plans: Dict[
-            Tuple[NodeId, NodeId], Tuple[Tuple[NodeId, NodeId], ...]
-        ] = {}
-        #: The routing generation the three route-fact caches above
-        #: were last revalidated against (:meth:`_sync_plans`).
+        #: Walk plans, one per route a message walks: ``(path, steps,
+        #: deps)`` with the routing view's memoized hop tuple, one
+        #: ``(node, verdict, index)`` step per rule-applying hop (its
+        #: on-SPT verdict for a join, its full-path predecessor for a
+        #: tree, and its index in ``path``), and the ``(origin,
+        #: generation)`` pairs of every table the plan consulted.  The
+        #: walks skip the transparent unicast hops entirely; a traced
+        #: walk reads them back from ``path``.
+        self._join_plans: Dict[NodeId, Plan] = {}
+        self._tree_plans: Dict[Tuple[NodeId, NodeId], Plan] = {}
+        #: The routing generation the plans were last revalidated
+        #: against (:meth:`_sync_plans`).
         self._plan_generation: Optional[int] = None
-        #: Per-entry origin dependencies of the three route-fact caches,
-        #: as ``(origin, origin_generation)`` pairs captured at build
-        #: time.  A global generation bump revalidates each entry
-        #: against its own origins and keeps everything a fault did not
-        #: touch.
-        self._join_plan_deps: Dict[
-            NodeId, Tuple[Tuple[NodeId, Optional[int]], ...]
-        ] = {}
-        self._tree_plan_deps: Dict[
-            Tuple[NodeId, NodeId], Tuple[Tuple[NodeId, Optional[int]], ...]
-        ] = {}
-        self._spt_deps: Dict[
-            Tuple[NodeId, NodeId], Tuple[Tuple[NodeId, Optional[int]], ...]
-        ] = {}
         #: Control messages are frozen dataclasses and the walks re-emit
         #: identical ones every round — cache per target (no generation
-        #: dependency; messages carry no routing facts).  Joins are
-        #: cached by the untraced walks, trees by every cascade.
+        #: dependency; messages carry no routing facts).  Traced walks
+        #: stamp a copy with their span.
         self._join_msg_cache: Dict[NodeId, JoinMessage] = {}
         self._tree_msg_cache: Dict[NodeId, TreeMessage] = {}
 
@@ -109,24 +96,21 @@ class StaticHbh(RoundDriver):
     # Rounds
     # ------------------------------------------------------------------
     def _join_phase(self, receivers: List[NodeId]) -> None:
-        """Traced rounds walk every join hop by hop; untraced ones
-        dispatch straight to the fast walk, with one tracing/plan check
-        for the whole round."""
+        """Every receiver's periodic join, in sorted order, reusing one
+        join message per receiver (a traced round stamps a copy)."""
         causal = self.causal
-        if causal is not None and causal.enabled:
-            super()._join_phase(receivers)
-            return
-        self._sync_plans()
-        now = float(self.round_no)
-        channel = self.channel
-        fast = self._walk_join_fast
+        traced = causal is not None and causal.enabled
+        channel, walk = self.channel, self._walk_join
         msg_cache = self._join_msg_cache
+        span = None
         for receiver in receivers:
             message = msg_cache.get(receiver)
             if message is None:
-                message = JoinMessage(channel, receiver)
-                msg_cache[receiver] = message
-            fast(receiver, message, now)
+                message = msg_cache[receiver] = JoinMessage(channel, receiver)
+            if traced:
+                span = self._span(JOIN, receiver, target=receiver)
+                message = self._stamp(message, span)
+            walk(receiver, message, span)
 
     def _snapshot(self) -> Tuple:
         """A hashable structural view of all channel state.
@@ -200,200 +184,120 @@ class StaticHbh(RoundDriver):
         return self.source_mft
 
     # ------------------------------------------------------------------
-    # Route facts (memoized per routing generation)
+    # Walk plans (memoized per routing generation)
     # ------------------------------------------------------------------
     def _sync_plans(self) -> None:
-        """Bring the walk plans and on-SPT verdicts up to the current
-        routing generation, revalidating them if it has moved."""
-        generation = self.routing.generation
-        if generation != self._plan_generation:
-            self._revalidate_route_caches()
-            self._plan_generation = generation
-
-    def _revalidate_route_caches(self) -> None:
-        """The routing generation moved: drop exactly the cached route
-        facts whose origin trees changed.
-
-        Entries are checked against their recorded ``(origin,
-        generation)`` dependencies via ``routing.origin_generation``.
-        Each origin is queried once (the query triggers its lazy
-        repair, so a clean origin costs one repaired no-op and every
-        plan over it survives the fault).
-        """
-        origin_gen = self.routing.origin_generation
+        """Bring the walk plans up to the current routing generation:
+        when it has moved, drop exactly the plans whose recorded
+        ``(origin, generation)`` dependencies changed.  Each origin is
+        queried once (the query triggers its lazy repair, so a clean
+        origin costs one repaired no-op and its plans survive)."""
+        routing = self.routing
+        generation = routing.generation
+        if generation == self._plan_generation:
+            return
+        self._plan_generation = generation
+        origin_gen = routing.origin_generation
         fresh: Dict[NodeId, Optional[int]] = {}
 
-        def stale(deps) -> bool:
-            if deps is None:
-                return True
+        def moved(deps) -> bool:
             for node, gen in deps:
                 current = fresh.get(node, _UNKNOWN)
                 if current is _UNKNOWN:
-                    current = origin_gen(node)
-                    fresh[node] = current
-                if gen is None or current is None or current != gen:
+                    current = fresh[node] = origin_gen(node)
+                if gen is None or current != gen:
                     return True
             return False
 
-        for cache, deps_map in (
-            (self._join_plans, self._join_plan_deps),
-            (self._tree_plans, self._tree_plan_deps),
-            (self._spt_cache, self._spt_deps),
-        ):
-            dead = [key for key in cache if stale(deps_map.get(key))]
-            for key in dead:
-                del cache[key]
-                deps_map.pop(key, None)
+        for plans in (self._join_plans, self._tree_plans):
+            for key in [key for key, plan in plans.items() if moved(plan[2])]:
+                del plans[key]
 
-    def _route_deps(
-        self, nodes
-    ) -> Tuple[Tuple[NodeId, Optional[int]], ...]:
-        """Capture ``(origin, generation)`` pairs for every distinct
-        origin whose table a just-built route fact consulted.  Called
-        immediately after the fact is computed, so every table is built
-        and synced — each query is one integer compare."""
+    def _route_deps(self, nodes) -> Tuple[Tuple[NodeId, Optional[int]], ...]:
+        """``(origin, generation)`` pairs for the tables a just-built
+        plan consulted (the distinct nodes of a loop-free route; all
+        built and synced, so each query is one integer compare)."""
         origin_gen = self.routing.origin_generation
-        deps: Dict[NodeId, Optional[int]] = {}
-        for node in nodes:
-            if node not in deps:
-                deps[node] = origin_gen(node)
-        return tuple(deps.items())
+        return tuple((node, origin_gen(node)) for node in nodes)
 
-    def _on_spt(self, node: NodeId, receiver: NodeId) -> bool:
-        """Does ``node`` lie on a unicast shortest path from the source
-        to ``receiver``?  The routing fact behind join rule 3's premise
-        (a branching node serves receivers on forward shortest paths);
-        unreachable endpoints — e.g. mid-fault — count as off-path.
-        Memoized per routing generation."""
-        self._sync_plans()
-        key = (node, receiver)
-        cached = self._spt_cache.get(key)
-        if cached is None:
-            cached = self._compute_on_spt(node, receiver)
-            self._spt_cache[key] = cached
-            self._spt_deps[key] = self._route_deps((self.source, node))
-        return cached
+    def _join_plan(self, origin: NodeId) -> Plan:
+        """Plan the join route ``origin -> source``.
 
-    def _compute_on_spt(self, node: NodeId, receiver: NodeId) -> bool:
-        try:
-            return (
-                self.routing.distance(self.source, node)
-                + self.routing.distance(node, receiver)
-                == self.routing.distance(self.source, receiver)
-            )
-        except RoutingError:
-            return False
+        Every walked join has ``joiner == origin`` (periodic joins
+        start at the receiver; rule-3 re-originations carry the
+        interceptor's own address), so each step's verdict for join
+        rule 3 — does the hop lie on a unicast shortest path from the
+        source to the joiner? (a branching node serves receivers on
+        forward shortest paths) — is a function of the origin alone.
+        Unreachable endpoints, e.g. mid-fault, count as off-path.
+        """
+        routing = self.routing
+        source = self.source
+        applies = self._applies_rules
+        path = routing.path_tuple(origin, source)
+        steps = []
+        for index in range(1, len(path)):
+            hop = path[index]
+            if applies(hop):
+                try:
+                    on_spt = (
+                        routing.distance(source, hop)
+                        + routing.distance(hop, origin)
+                        == routing.distance(source, origin)
+                    )
+                except RoutingError:
+                    on_spt = False
+                steps.append((hop, on_spt, index))
+        plan = self._join_plans[origin] = \
+            (path, tuple(steps), self._route_deps(path))
+        return plan
+
+    def _tree_plan(self, origin: NodeId, target: NodeId) -> Plan:
+        """Plan the tree route ``origin -> target``: each rule-applying
+        hop with its full-path predecessor, the ``arrived_from`` (the
+        upstream interface) the tree rules record."""
+        path = self.routing.path_tuple(origin, target)
+        applies = self._applies_rules
+        steps = tuple((path[index], path[index - 1], index)
+                      for index in range(1, len(path))
+                      if applies(path[index]))
+        # The walk consults the tables of every hop except the final
+        # target (the last next_hop decision happens one node earlier).
+        plan = self._tree_plans[(origin, target)] = \
+            (path, steps, self._route_deps(path[:-1]))
+        return plan
 
     # ------------------------------------------------------------------
-    # Message walks (hop-by-hop over unicast routes)
+    # Message walks (over unicast routes, one plan step per HBH router)
     # ------------------------------------------------------------------
     def _walk_join(self, origin: NodeId, message: JoinMessage,
                    span: Optional[Span] = None) -> None:
         """Walk a join from ``origin`` toward the source, applying the
         join rules at every HBH router until interception or arrival.
 
-        Untraced joins take the plan-driven :meth:`_walk_join_fast`;
-        traced ones walk hop by hop, recording every hop and table
-        effect on ``span``."""
-        if span is None:
-            self._sync_plans()
-            self._walk_join_fast(origin, message, float(self.round_no))
-            return
-        self.messages_processed += 1
-        now = float(self.round_no)
-        source = self.source
-        causal = self.causal
-        joiner = message.joiner
-        for current in self._hops(origin, source):
-            span.hops.append(current)
-            if current == source:
-                existed = joiner in self.source_mft
-                process_join_at_source(self.source_mft, message, now)
-                causal.effect(span, source, "source-mft", joiner,
-                              "refresh-join" if existed else "add", now)
-                causal.finish(
-                    span,
-                    f"reached source (MFT entry {joiner} "
-                    f"{'refreshed' if existed else 'added'})",
-                )
-                return
-            if not self._applies_rules(current):
-                continue
-            state = self.states.get(current)
-            if state is None:
-                continue  # rule 1: no MFT here, so the join passes
-            actions = process_join(
-                state, message, current, now, self.timing,
-                on_spt=self._on_spt(current, joiner),
-            )
-            consumed = False
-            for action in actions:
-                cls = action.__class__
-                if cls is Consume:
-                    consumed = True
-                elif cls is OriginateJoin:
-                    # Rule 3: the interceptor refreshed the joiner's
-                    # entry and joins the channel itself upstream.
-                    causal.effect(span, current, "mft", joiner,
-                                  "refresh-join", now)
-                    child = self._span(JOIN, current, target=action.joiner,
-                                       parent=span)
-                    self._walk_join(
-                        current,
-                        self._stamp(JoinMessage(self.channel, action.joiner),
-                                    child),
-                        child,
-                    )
-                elif cls is not Forward:  # pragma: no cover
-                    raise ProtocolError(f"unexpected join action {action!r}")
-            if consumed:
-                causal.finish(span, f"intercepted by {current} (join rule 3)")
-                return
-
-    def _walk_join_fast(self, origin: NodeId, message: JoinMessage,
-                        now: float) -> None:
-        """Untraced join walk over a precomputed plan.
-
-        The hop sequence and the per-node rules verdicts are both
-        static for a routing generation, so the walk reduces to "apply
-        the join rules at each rule-applying hop, then deliver at the
-        source" — the transparent unicast hops do nothing in an
-        untraced walk and are precomputed away.  Rule-3 re-originations
-        are walked iteratively (LIFO matches the recursive order: an
-        interception stops the outer walk, so at most one nested join
-        is ever pending).
-
-        Every fast-walked join has ``joiner == origin`` (periodic joins
-        start at the receiver; rule-3 re-originations carry the
-        interceptor's own address), so the per-hop on-SPT verdicts are
-        a function of the origin alone and live *inside* the plan.
-        Callers must have called :meth:`_sync_plans` this round.
+        The walk follows the origin's plan; a traced walk also records
+        every hop, table effect and outcome on ``span``.  Rule-3
+        re-originations are walked in the same loop (an interception
+        stops the outer walk, so at most one nested join is ever
+        pending); the intercepted joins' spans are finished afterwards,
+        innermost first — the recursive order, in which the flight
+        recorder logs them.
         """
-        source = self.source
+        self._sync_plans()
+        now = float(self.round_no)
         timing = self.timing
         states = self.states
         join_plans = self._join_plans
-        channel = self.channel
-        source_mft = self.source_mft
         msg_cache = self._join_msg_cache
-        walk = [(origin, message)]
-        pop = walk.pop
-        while walk:
-            origin, message = pop()
+        causal = self.causal
+        intercepted: List[Tuple[Span, NodeId]] = []
+        walk: Optional[Tuple] = (origin, message, span)
+        while walk is not None:
+            origin, message, span = walk
+            walk = None
             self.messages_processed += 1
-            plan = join_plans.get(origin)
-            if plan is None:
-                applies = self._applies_rules
-                on_spt = self._compute_on_spt
-                hops = self._hops(origin, source)
-                plan = tuple((h, on_spt(h, origin))
-                             for h in hops
-                             if applies(h))
-                join_plans[origin] = plan
-                self._join_plan_deps[origin] = \
-                    self._route_deps((origin, *hops))
-            consumed = False
-            for current, on_spt in plan:
+            path, steps, _ = join_plans.get(origin) or self._join_plan(origin)
+            for current, on_spt, index in steps:
                 state = states.get(current)
                 if state is None:
                     continue  # rule 1: no MFT here, so the join passes
@@ -401,24 +305,43 @@ class StaticHbh(RoundDriver):
                                        timing, on_spt=on_spt)
                 if actions is FORWARD_ONLY:
                     continue
-                for action in actions:
-                    cls = action.__class__
-                    if cls is Consume:
-                        consumed = True
-                    elif cls is OriginateJoin:
-                        nested = msg_cache.get(current)
-                        if nested is None:
-                            nested = JoinMessage(channel, current)
-                            msg_cache[current] = nested
-                        walk.append((current, nested))
-                    elif cls is not Forward:  # pragma: no cover
-                        raise ProtocolError(
-                            f"unexpected join action {action!r}"
-                        )
-                if consumed:
-                    break
-            if not consumed and origin != source:
+                if actions is not state.intercept:  # pragma: no cover
+                    raise ProtocolError(f"unexpected join actions {actions!r}")
+                # Rule 3: the interceptor refreshed the joiner's entry,
+                # consumed the join and joins the channel itself upstream.
+                nested = msg_cache.get(current)
+                if nested is None:
+                    nested = msg_cache[current] = \
+                        JoinMessage(self.channel, current)
+                child = None
+                if span is not None:
+                    causal.effect(span, current, "mft", message.joiner,
+                                  "refresh-join", now)
+                    child = self._span(JOIN, current, target=current,
+                                       parent=span)
+                    nested = self._stamp(nested, child)
+                    span.hops.extend(path[1:index + 1])
+                    intercepted.append((span, current))
+                walk = (current, nested, child)
+                break
+            else:
+                source_mft = self.source_mft
+                if span is not None:
+                    joiner = message.joiner
+                    existed = joiner in source_mft
                 process_join_at_source(source_mft, message, now)
+                if span is not None:
+                    span.hops.extend(path[1:])
+                    causal.effect(span, self.source, "source-mft", joiner,
+                                  "refresh-join" if existed else "add", now)
+                    causal.finish(
+                        span,
+                        f"reached source (MFT entry {joiner} "
+                        f"{'refreshed' if existed else 'added'})",
+                    )
+        while intercepted:
+            span, node = intercepted.pop()
+            causal.finish(span, f"intercepted by {node} (join rule 3)")
 
     def _tree_phase(self) -> None:
         """The source's periodic tree emission plus the full in-round
@@ -433,9 +356,9 @@ class StaticHbh(RoundDriver):
         walked once and left to age out over subsequent rounds.
         Duplicates are dropped when sent, before a message is built;
         the queue is FIFO, so the first send of each message is the
-        one walked, in the order it was sent.  Untraced walks drop a
+        one walked, in the order it was sent.  Tree walks drop a
         repeated transit outcome before even that (see
-        :meth:`_walk_tree_fast`).
+        :meth:`_walk_tree`).
         """
         queue: Deque[
             Tuple[NodeId, Union[TreeMessage, FusionMessage], Optional[Span]]
@@ -478,101 +401,40 @@ class StaticHbh(RoundDriver):
         )
         steps = 0
         popleft = queue.popleft
-        if not tracing:
-            self._sync_plans()
+        self._sync_plans()
         now = float(self.round_no)
+        span = None
         while queue:
             steps += 1
             if steps > MAX_CASCADE:  # pragma: no cover - safety valve
                 raise ProtocolError("tree/fusion cascade did not terminate")
             origin, message, parent = popleft()
             is_tree = message.__class__ is TreeMessage
-            if not tracing:
-                if is_tree:
-                    self._walk_tree_fast(origin, message, send_tree,
-                                         send_fusion, transits, now)
-                else:
-                    self._walk_fusion(origin, message)
-            elif is_tree:
+            if tracing:
+                # Only the source's own emissions have no parent span.
                 span = causal.begin(
-                    TREE, origin, now, self.channel_name,
+                    TREE if is_tree else FUSION, origin, now,
+                    self.channel_name,
                     trace_id=round_trace if parent is None else None,
-                    parent=parent, target=message.target,
+                    parent=parent,
+                    target=message.target if is_tree else message.receivers,
                 )
-                self._walk_tree(origin, self._stamp(message, span),
-                                send_tree, send_fusion, span)
+                message = self._stamp(message, span)
+            if is_tree:
+                self._walk_tree(origin, message, send_tree, send_fusion,
+                                transits, now, span)
             else:
-                span = causal.begin(
-                    FUSION, origin, now, self.channel_name,
-                    parent=parent, target=message.receivers,
-                )
-                self._walk_fusion(origin, self._stamp(message, span), span)
+                self._walk_fusion(origin, message, span)
 
     def _walk_tree(self, origin: NodeId, message: TreeMessage,
                    send_tree: Callable, send_fusion: Callable,
-                   span: Span) -> None:
-        """Traced walk of ``tree(S, target)`` from ``origin`` toward its
-        target, applying the tree rules at every HBH router on the way
-        and recording every hop and table effect on ``span`` (untraced
-        trees take :meth:`_walk_tree_fast`)."""
-        self.messages_processed += 1
-        now = float(self.round_no)
-        causal = self.causal
-        target_node = message.target
-        previous = origin
-        for current in self._hops(origin, target_node):
-            span.hops.append(current)
-            if not self._applies_rules(current):
-                if current == target_node:
-                    # Arrived at a host/receiver (or the source): consumed.
-                    causal.finish(span, f"reached {target_node}")
-                    return
-                previous = current
-                continue
-            state = self._state_at(current)
-            before = self._tree_facts(state, target_node)
-            actions = process_tree(state, message, current, now,
-                                   self.timing, arrived_from=previous)
-            self._tree_effects(span, current, state, target_node, before)
-            consumed = False
-            for action in actions:
-                cls = action.__class__
-                if cls is Consume:
-                    consumed = True
-                elif cls is OriginateTree:
-                    if action.target != current:
-                        send_tree(current, action.target, span)
-                elif cls is OriginateFusion:
-                    send_fusion(current, action.receivers, span)
-                elif cls is not Forward:  # pragma: no cover
-                    raise ProtocolError(f"unexpected tree action {action!r}")
-            if consumed:
-                if before[0]:  # the target held an MFT: rule 1
-                    regenerated = sum(
-                        1 for a in actions if isinstance(a, OriginateTree)
-                    )
-                    causal.finish(
-                        span,
-                        f"delivered to branching node {current} "
-                        f"(tree rule 1: {regenerated} trees regenerated)",
-                    )
-                else:
-                    causal.finish(span, f"reached {target_node}")
-                return
-            previous = current
-        if not span.finished:
-            causal.finish(span, f"reached {target_node}")
-
-    def _walk_tree_fast(self, origin: NodeId, message: TreeMessage,
-                        send_tree: Callable, send_fusion: Callable,
-                        transits: Dict[NodeId, List],
-                        now: float) -> None:
-        """Untraced tree walk over a precomputed plan (see
-        :meth:`_walk_join_fast`): only the rule-applying hops do
-        anything, and each needs its full-path predecessor as
-        ``arrived_from`` (the upstream interface the tree message
-        arrived on).  Callers must have called :meth:`_sync_plans` this
-        round.
+                   transits: Dict[NodeId, List], now: float,
+                   span: Optional[Span] = None) -> None:
+        """Walk ``tree(S, target)`` from ``origin`` toward its target
+        over the route's plan, applying the tree rules at every HBH
+        router on the way; a traced walk also records every hop, table
+        effect and outcome on ``span``.  Callers must have called
+        :meth:`_sync_plans` this round.
 
         ``transits`` maps each node to the last transit outcome it sent
         this round.  A rule returns the same list object only while the
@@ -583,31 +445,18 @@ class StaticHbh(RoundDriver):
         timing = self.timing
         states = self.states
         target_node = message.target
-        plan_key = (origin, target_node)
-        plan = self._tree_plans.get(plan_key)
-        if plan is None:
-            applies = self._applies_rules
-            steps = []
-            prev = origin
-            hops = self._hops(origin, target_node)
-            for hop in hops:
-                if applies(hop):
-                    steps.append((hop, prev))
-                prev = hop
-            plan = tuple(steps)
-            self._tree_plans[plan_key] = plan
-            # The walk consults the tables of every hop except the
-            # final target (the last next_hop decision happens one
-            # node earlier).
-            self._tree_plan_deps[plan_key] = \
-                self._route_deps((origin, *hops[:-1]))
-        for current, arrived_from in plan:
+        path, steps, _ = (self._tree_plans.get((origin, target_node))
+                          or self._tree_plan(origin, target_node))
+        for current, arrived_from, index in steps:
             state = states.get(current)
             if state is None:
-                state = HbhChannelState()
-                states[current] = state
+                state = states[current] = HbhChannelState()
+            if span is not None:
+                before = self._tree_facts(state, target_node)
             actions = process_tree(state, message, current, now,
                                    timing, arrived_from=arrived_from)
+            if span is not None:
+                self._tree_effects(span, current, state, target_node, before)
             if actions is FORWARD_ONLY:
                 continue
             mft = state.mft
@@ -623,15 +472,26 @@ class StaticHbh(RoundDriver):
                 elif cls is OriginateTree:
                     target = action.target
                     if target != current:
-                        send_tree(current, target, None)
+                        send_tree(current, target, span)
                 elif cls is OriginateFusion:
-                    send_fusion(current, action.receivers, None)
+                    send_fusion(current, action.receivers, span)
                 elif cls is not Forward:  # pragma: no cover
-                    raise ProtocolError(
-                        f"unexpected tree action {action!r}"
-                    )
+                    raise ProtocolError(f"unexpected tree action {action!r}")
             if consumed:
+                if span is not None:
+                    span.hops.extend(path[1:index + 1])
+                    outcome = f"reached {target_node}"
+                    if before[0]:  # the target held an MFT: rule 1
+                        regenerated = sum(isinstance(a, OriginateTree)
+                                          for a in actions)
+                        outcome = (f"delivered to branching node {current} "
+                                   f"(tree rule 1: {regenerated} trees "
+                                   f"regenerated)")
+                    self.causal.finish(span, outcome)
                 return
+        if span is not None:
+            span.hops.extend(path[1:])
+            self.causal.finish(span, f"reached {target_node}")
 
     def _tree_facts(self, state: HbhChannelState,
                     target: NodeId) -> Tuple[bool, bool, Optional[NodeId]]:

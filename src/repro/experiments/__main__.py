@@ -33,10 +33,16 @@ from repro.obs.profiling import PROFILER
 from repro.obs.registry import MetricsRegistry
 
 
-#: Targets that write a ``--save`` archive, and the ones that render an
-#: archived sweep back with ``--load``; any other target rejects the flag.
+#: Targets that write a ``--save`` archive, the ones that render an
+#: archived sweep back with ``--load``, the ones that trace causal spans
+#: for ``--trace-out`` and the ones that keep flight-recorder rings for
+#: ``--flight-out``; any other target rejects the flag.
 SAVE_TARGETS = sorted(FIGURE_METRICS) + ["churn", "flows"]
 LOAD_TARGETS = sorted(FIGURE_METRICS)
+TRACE_TARGETS = sorted(FIGURE_METRICS) + ["all", "claims", "report",
+                                          "baseline", "ablations",
+                                          "explain", "faults"]
+FLIGHT_TARGETS = ["explain", "faults"]
 
 
 def _progress_printer(quiet: bool):
@@ -391,13 +397,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--trace-out", default="",
         help="archive the run's causal spans as JSONL here (figure "
-             "sweeps and ablations trace run 0 of each point; faults "
-             "and explain trace the whole run)",
+             "sweeps, 'all', 'claims', 'report', 'baseline' and "
+             "ablations trace run 0 of each point; 'explain' and a "
+             "single 'faults' scenario trace the whole run)",
     )
     parser.add_argument(
         "--flight-out", default="",
-        help="with 'explain'/'faults': dump the per-channel flight "
-             "recorder rings as JSONL here",
+        help="with 'explain' or a single 'faults' scenario: dump the "
+             "per-channel flight recorder rings as JSONL here",
     )
     parser.add_argument(
         "--flows-out", default="",
@@ -429,10 +436,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress progress output")
     args = parser.parse_args(argv)
-    for flag, honoured in (("save", SAVE_TARGETS), ("load", LOAD_TARGETS)):
-        if getattr(args, flag) and args.target not in honoured:
+    for flag, honoured in (("save", SAVE_TARGETS), ("load", LOAD_TARGETS),
+                           ("trace-out", TRACE_TARGETS),
+                           ("flight-out", FLIGHT_TARGETS)):
+        if getattr(args, flag.replace("-", "_")) and args.target not in honoured:
             parser.error(f"--{flag} is not supported by {args.target!r}; "
                          f"it is honoured by {', '.join(honoured)}")
+    # A tracing target still traces nothing when it renders an archive
+    # or runs every fault scenario (in parallel, untraced).
+    untraced = ""
+    if args.load:
+        untraced = "--load"
+    elif args.target == "faults" and args.scenario == "all":
+        untraced = "--scenario all"
+    for flag in ("trace-out", "flight-out"):
+        if untraced and getattr(args, flag.replace("-", "_")):
+            parser.error(f"--{flag} is not supported by {args.target!r} "
+                         f"with {untraced}, which runs no traced simulation")
 
     tracer = flight = None
     if args.trace_out or args.flight_out or args.target == "explain":

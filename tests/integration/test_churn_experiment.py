@@ -6,7 +6,8 @@ parallelism only changes scheduling), the metrics planes all populate,
 and the stream prefix matches the committed golden.  The scenario
 streams themselves are pinned too: a capped stream draws only the
 sessions it emits, and the regional-blackout departure window keeps
-its recorded bytes.
+its recorded bytes.  A work ledger pins the trimmed run's control
+messages, membership events, deliveries and oracle checks.
 """
 
 import hashlib
@@ -85,6 +86,34 @@ class TestPayloadShape:
                          for p in serial_payloads)
         assert checked > 0
         assert violations == 0
+
+
+class TestChurnLedger:
+    """Work ledger of the churn replay: exact counts, summed over the
+    shards, of the trimmed run above.  They are exact on any host.  A
+    change that only makes the same work cheaper leaves them alone; a
+    change that alters them updates this ledger and says why."""
+
+    def test_counts_per_protocol(self, serial_payloads):
+        names = ("control.messages", "churn.events.join",
+                 "churn.events.leave", "data.deliveries", "data.missing",
+                 "churn.oracle.checked", "churn.oracle.violations")
+        totals = {
+            protocol: {
+                name: sum(p["metrics"][name]["value"]
+                          for p in serial_payloads
+                          if p["protocol"] == protocol)
+                for name in names
+            }
+            for protocol in ("hbh", "reunite")
+        }
+        shared = {"churn.events.join": 521, "churn.events.leave": 79,
+                  "data.deliveries": 227, "data.missing": 0,
+                  "churn.oracle.checked": 30, "churn.oracle.violations": 0}
+        assert totals == {
+            "hbh": {"control.messages": 47537, **shared},
+            "reunite": {"control.messages": 5525, **shared},
+        }
 
 
 class TestGoldenStreamPrefix:

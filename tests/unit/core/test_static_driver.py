@@ -6,11 +6,16 @@ HBH (``TestMembership``, ``TestConvergence``) and once for REUNITE
 (``TestReuniteContract``).  Everything after it is HBH-specific.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.static_driver import StaticHbh
 from repro.errors import ChannelError
+from repro.obs.causal import INITIAL_JOIN, JOIN, TREE, CausalTracer
 from repro.protocols.reunite.static_driver import StaticReunite
+from repro.routing.tables import UnicastRouting
+from repro.topology.model import Topology
 from repro.topology.random_graphs import line_topology, star_topology
 
 
@@ -205,3 +210,63 @@ class TestPlanRevalidation:
         rebuilt = driver._join_plans.get(11)
         assert rebuilt is not None and rebuilt is not plan
         assert driver.distribute_data().complete
+
+
+class TestTracedSpanHops:
+    """A traced span records every hop its message crossed, the
+    transparent ones included: the walks step only through the
+    rule-applying hops of their plans, so the span must read the rest
+    back from the route."""
+
+    SOURCE, UNICAST_ONLY = 10, 1
+
+    def _traced(self):
+        # Host 10 - R0 - R1 (unicast-only) - R2, which branches to
+        # R3 - host 13 and R4 - host 14.
+        topology = Topology(name="spans")
+        for router in range(5):
+            topology.add_router(router)
+        for a, b in ((0, 1), (1, 2), (2, 3), (2, 4)):
+            topology.add_link(a, b, 1, 1)
+        topology.add_host(self.SOURCE, attached_to=0)
+        topology.add_host(13, attached_to=3)
+        topology.add_host(14, attached_to=4)
+        topology.set_multicast_capable(self.UNICAST_ONLY, False)
+        driver = StaticHbh(topology, source=self.SOURCE,
+                           routing=UnicastRouting(topology))
+        driver.attach_tracer(CausalTracer())
+        for receiver in (13, 14):
+            driver.add_receiver(receiver)
+            driver.converge()
+        return driver
+
+    def test_hops_are_the_route_up_to_where_the_walk_ended(self):
+        driver = self._traced()
+        endings = Counter()
+        crossing = Counter()
+        for span in driver.causal.spans():
+            if span.name in (JOIN, INITIAL_JOIN):
+                destination = driver.source
+            elif span.name == TREE:
+                destination = span.target
+            else:
+                continue
+            route = driver.routing.path(span.node, destination)[1:]
+            assert span.hops == route[:len(span.hops)], span
+            if span.outcome.startswith("reached"):
+                assert span.hops == route, span
+            else:
+                # "intercepted by B (join rule 3)" or "delivered to
+                # branching node B (tree rule 1: ...)": the walk ended
+                # at B.
+                node = span.outcome.split(" (")[0].split()[-1]
+                assert str(span.hops[-1]) == node, span
+            endings[span.name, span.outcome.split()[0]] += 1
+            if self.UNICAST_ONLY in span.hops:
+                crossing[span.name] += 1
+        assert endings[JOIN, "intercepted"] > 0
+        assert endings[JOIN, "reached"] > 0
+        assert endings[TREE, "delivered"] > 0
+        assert endings[TREE, "reached"] > 0
+        assert crossing[JOIN] > 0 and crossing[TREE] > 0
+        assert crossing[INITIAL_JOIN] == 2

@@ -1,16 +1,16 @@
-"""Round-by-round parity of the traced and untraced message walks.
+"""Recording spans never perturbs a static driver's state.
 
-With a causal tracer attached, the static drivers walk every message
-hop by hop and record spans; without one, HBH walks precomputed plans
-that skip the transparent hops, and neither driver does any span
-bookkeeping.  The two must be the same protocol: these tests run a
-traced and an untraced driver side by side through joins, a fault
-storm with crashes, leaves and late joins, and quiescent rounds, and
-compare their tables and message counts after every round and every
-membership change.  Neither may hold state for a router outside the
-tree at those points: walks allocate no state where a rule only
-forwards, and the expiry at the end of a round drops whatever a tree
-walk left empty.
+Each driver has one walk per message kind; with a causal tracer
+attached, the same walk also records every hop, table effect and
+outcome on a span (HBH's walks step through precomputed plans and read
+the transparent hops back from the route).  Tracing must stay pure
+bookkeeping: these tests run a traced and an untraced driver side by
+side through joins, a fault storm with crashes, leaves and late joins,
+and quiescent rounds, and compare their tables and message counts
+after every round and every membership change.  Neither may hold state
+for a router outside the tree at those points: walks allocate no state
+where a rule only forwards, and the expiry at the end of a round drops
+whatever a tree walk left empty.
 """
 
 from __future__ import annotations

@@ -32,19 +32,47 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
-    @pytest.mark.parametrize("target", [
-        "all", "claims", "ablations", "report", "baseline", "bench",
-        "faults", "explain", "timeline",
+    @pytest.mark.parametrize("flag,argv", [
+        *(pytest.param("save", [target], id=target) for target in (
+            "all", "claims", "ablations", "report", "baseline", "bench",
+            "faults", "explain", "timeline")),
+        *(pytest.param("trace-out", argv, id="trace-out-" + "-".join(argv))
+          for argv in (["bench"], ["timeline"], ["churn"], ["flows"],
+                       ["faults", "--scenario", "all"],
+                       ["fig7a", "--load", "in.json"])),
+        *(pytest.param("flight-out", argv, id="flight-out-" + "-".join(argv))
+          for argv in (["fig7b"], ["scale10k"], ["all"], ["claims"],
+                       ["report"], ["baseline"], ["ablations"], ["bench"],
+                       ["timeline"], ["churn"], ["flows"],
+                       ["faults", "--scenario", "all"])),
     ])
-    def test_save_rejected_where_ignored(self, target, tmp_path, capsys):
-        archive = tmp_path / "out.json"
+    def test_save_rejected_where_ignored(self, flag, argv, tmp_path, capsys):
+        """An output flag (``--save``, ``--trace-out``,
+        ``--flight-out``) on a target that would ignore it, or on a
+        tracing target that renders an archive or runs every fault
+        scenario, is rejected before anything runs, so no file is
+        written."""
+        honoured = {
+            "save": "fig7a, fig7b, fig8a, fig8b, scale10k, churn, flows",
+            "trace-out": "fig7a, fig7b, fig8a, fig8b, scale10k, all, "
+                         "claims, report, baseline, ablations, explain, "
+                         "faults",
+            "flight-out": "explain, faults",
+        }
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exit_info:
-            main([target, "--save", str(archive)])
+            main([*argv, f"--{flag}", str(out)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert f"--save is not supported by {target!r}" in err
-        assert "fig7a, fig7b, fig8a, fig8b, scale10k, churn, flows" in err
-        assert not archive.exists()
+        target, *options = argv
+        if target in honoured[flag].split(", "):
+            assert (f"--{flag} is not supported by {target!r} with "
+                    f"{options[0]}") in err
+            assert "which runs no traced simulation" in err
+        else:
+            assert f"--{flag} is not supported by {target!r}" in err
+            assert f"it is honoured by {honoured[flag]}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("target", [
         "all", "claims", "ablations", "report", "baseline", "bench",
