@@ -97,6 +97,13 @@ class RoundDriver(abc.ABC):
         #: at round boundaries only.
         self.timeline: Optional[TreeTimeline] = None
         self._timeline_messages = 0
+        #: The snapshot this driver last fed :attr:`timeline`'s row
+        #: diff; reset by :meth:`attach_timeline`.
+        self._timeline_snapshot: Optional[Tuple] = None
+        #: One join message per joiner: messages are frozen and a
+        #: periodic join repeats the same one every round (a traced
+        #: walk stamps a copy with its span).
+        self._join_messages: Dict[NodeId, Any] = {}
 
     # ------------------------------------------------------------------
     # Protocol hooks
@@ -113,22 +120,25 @@ class RoundDriver(abc.ABC):
         cascade."""
 
     @abc.abstractmethod
-    def _expire_source(self, now: float, timing: ProtocolTiming) -> None:
-        """Age the source's own table."""
-
-    @abc.abstractmethod
     def _source_table(self) -> Any:
         """The source's table, as :meth:`describe` prints it."""
 
     @abc.abstractmethod
-    def _snapshot(self) -> Tuple:
+    def _snapshot(self, expire: bool = False) -> Tuple:
         """A hashable structural view of all channel state (what
-        :meth:`converge` compares and the flight recorder keeps)."""
+        :meth:`converge` compares and the flight recorder and timeline
+        read), in one sorted walk over the states.
 
+        With ``expire`` the walk first ages each table it visits (the
+        source's and every router's, through the tables' own
+        ``expire``) and drops the states left empty: the round
+        boundary.  Without it, a pure read."""
+
+    @staticmethod
     @abc.abstractmethod
-    def _timeline_rows(self) -> Tuple[List[Tuple], List[Tuple]]:
-        """The ``(node, table, address)`` rows of the current tables,
-        and the subset carrying a fusion mark."""
+    def _timeline_rows(snapshot: Tuple) -> Tuple[List[Tuple], List[Tuple]]:
+        """The ``(node, table, address)`` rows a snapshot holds, and
+        the subset carrying a fusion mark."""
 
     @abc.abstractmethod
     def distribute_data(self) -> DataDistribution:
@@ -158,6 +168,7 @@ class RoundDriver(abc.ABC):
         convergence monitor) into the round loop; ``None`` detaches."""
         self.timeline = timeline
         self._timeline_messages = self.messages_processed
+        self._timeline_snapshot = None
         if timeline is not None and monitor is not None:
             timeline.attach_monitor(monitor)
         if timeline is not None and timeline.monitor is not None:
@@ -227,33 +238,44 @@ class RoundDriver(abc.ABC):
         """Virtual time: the current round number."""
         return float(self.round_no)
 
-    def run_round(self) -> None:
-        """One protocol period: joins, tree cascade, aging."""
+    def run_round(self) -> Tuple:
+        """One protocol period: joins, tree cascade, aging.  Returns
+        the round's closing snapshot, taken by the same walk that
+        ages the tables."""
         self.round_no += 1
         receivers = self._receivers_sorted
         if receivers is None:
             receivers = self._receivers_sorted = sorted(self.receivers)
         self._join_phase(receivers)
         self._tree_phase()
-        self._expire()
+        snapshot = self._snapshot(expire=True)
         timeline = self.timeline
         if timeline is not None and timeline.enabled:
-            self._observe_timeline(timeline)
+            self._observe_timeline(timeline, snapshot)
         if self.flight is not None:
             watermark = self.causal.next_id if self.causal is not None else 0
             self.flight.snapshot(
                 self.channel_name, self.now, f"round {self.round_no}",
-                self._snapshot(), span_watermark=watermark,
+                snapshot, span_watermark=watermark,
             )
+        return snapshot
 
     def _join_phase(self, receivers: List[NodeId]) -> None:
-        """Every receiver's periodic join, in sorted order."""
-        join_cls, channel = self.join_cls, self.channel
+        """Every receiver's periodic join, in sorted order, reusing one
+        join message per receiver (a traced round stamps a copy)."""
+        causal = self.causal
+        traced = causal is not None and causal.enabled
+        join_cls, channel, walk = self.join_cls, self.channel, self._walk_join
+        messages = self._join_messages
+        span = None
         for receiver in receivers:
-            span = self._span(JOIN, receiver, target=receiver)
-            self._walk_join(receiver,
-                            self._stamp(join_cls(channel, receiver), span),
-                            span)
+            message = messages.get(receiver)
+            if message is None:
+                message = messages[receiver] = join_cls(channel, receiver)
+            if traced:
+                span = self._span(JOIN, receiver, target=receiver)
+                message = self._stamp(message, span)
+            walk(receiver, message, span)
 
     def converge(self, max_rounds: int = 40, settle_rounds: int = 2) -> int:
         """Run rounds until the tree is stable; returns rounds executed.
@@ -267,8 +289,7 @@ class RoundDriver(abc.ABC):
             stable = 0
             previous = self._snapshot()
             for executed in range(1, max_rounds + 1):
-                self.run_round()
-                current = self._snapshot()
+                current = self.run_round()
                 if current == previous:
                     stable += 1
                     if stable >= settle_rounds:
@@ -282,30 +303,26 @@ class RoundDriver(abc.ABC):
                 f"{self.topology.name!r})"
             )
 
-    def _observe_timeline(self, timeline: TreeTimeline) -> None:
+    def _observe_timeline(self, timeline: TreeTimeline,
+                          snapshot: Tuple) -> None:
         """Feed the round's table state into the tree-dynamics
-        timeline: one structural row diff at the round boundary plus
+        timeline: the structural row diff at the round boundary plus
         this round's control-message count into the windowed load
-        series."""
+        series.
+
+        The rows are a function of the snapshot, so the diff runs only
+        when the snapshot differs from the one this driver last fed
+        the timeline: an equal snapshot cannot produce an event."""
         now = self.now
-        rows, marks = self._timeline_rows()
-        timeline.observe_tables(now, self.protocol, self.channel_name,
-                                rows, marks)
+        if snapshot != self._timeline_snapshot:
+            self._timeline_snapshot = snapshot
+            rows, marks = self._timeline_rows(snapshot)
+            timeline.observe_tables(now, self.protocol, self.channel_name,
+                                    rows, marks)
         timeline.control(now, self.protocol, self.channel_name,
                          self.messages_processed - self._timeline_messages)
         self._timeline_messages = self.messages_processed
         timeline.poll(now)
-
-    def _expire(self) -> None:
-        now, timing = self.now, self.timing
-        self._expire_source(now, timing)
-        emptied = []
-        for node, state in self.states.items():
-            state.expire(now, timing)
-            if not state.in_tree:
-                emptied.append(node)
-        for node in emptied:
-            del self.states[node]
 
     # ------------------------------------------------------------------
     # Walk helpers

@@ -46,7 +46,7 @@ from repro.core.rules import (
     process_join_at_source,
     process_tree,
 )
-from repro.core.tables import HbhChannelState, Mft, ProtocolTiming
+from repro.core.tables import HbhChannelState, Mft
 from repro.errors import ProtocolError, RoutingError
 from repro.metrics.distribution import DataDistribution
 from repro.obs.causal import DATA, FUSION, JOIN, TREE, Span
@@ -86,39 +86,24 @@ class StaticHbh(RoundDriver):
         #: against (:meth:`_sync_plans`).
         self._plan_generation: Optional[int] = None
         #: Control messages are frozen dataclasses and the walks re-emit
-        #: identical ones every round — cache per target (no generation
-        #: dependency; messages carry no routing facts).  Traced walks
-        #: stamp a copy with their span.
-        self._join_msg_cache: Dict[NodeId, JoinMessage] = {}
-        self._tree_msg_cache: Dict[NodeId, TreeMessage] = {}
+        #: identical ones every round, so each is built once (no
+        #: generation dependency; messages carry no routing facts):
+        #: tree messages per target, fusions per ``send_fusion`` dedup
+        #: key.  Joins share :attr:`_join_messages`.  Traced walks stamp
+        #: a copy with their span.
+        self._tree_messages: Dict[NodeId, TreeMessage] = {}
+        self._fusion_messages: Dict[Tuple, FusionMessage] = {}
 
     # ------------------------------------------------------------------
     # Rounds
     # ------------------------------------------------------------------
-    def _join_phase(self, receivers: List[NodeId]) -> None:
-        """Every receiver's periodic join, in sorted order, reusing one
-        join message per receiver (a traced round stamps a copy)."""
-        causal = self.causal
-        traced = causal is not None and causal.enabled
-        channel, walk = self.channel, self._walk_join
-        msg_cache = self._join_msg_cache
-        span = None
-        for receiver in receivers:
-            message = msg_cache.get(receiver)
-            if message is None:
-                message = msg_cache[receiver] = JoinMessage(channel, receiver)
-            if traced:
-                span = self._span(JOIN, receiver, target=receiver)
-                message = self._stamp(message, span)
-            walk(receiver, message, span)
+    def _snapshot(self, expire: bool = False) -> Tuple:
+        """A hashable structural view of all channel state (see
+        :meth:`RoundDriver._snapshot`).
 
-    def _snapshot(self) -> Tuple:
-        """A hashable structural view of all channel state.
-
-        Runs twice per round (convergence compares consecutive
-        snapshots), so the entry flags are computed inline — same
-        predicates as :meth:`MftEntry.is_marked` / ``is_stale`` —
-        instead of two method calls per entry.
+        Runs at every round boundary, so the entry flags are computed
+        inline — same predicates as :meth:`MftEntry.is_marked` /
+        ``is_stale`` — instead of two method calls per entry.
         """
         now, timing = self.now, self.timing
         t1 = timing.t1
@@ -127,6 +112,11 @@ class StaticHbh(RoundDriver):
         states = self.states
         for node in sorted(states):
             state = states[node]
+            if expire:
+                state.expire(now, timing)
+                if not state.in_tree:
+                    del states[node]
+                    continue
             mct = state.mct
             if mct is not None:
                 append((node, "mct", mct.entry.address,
@@ -140,45 +130,29 @@ class StaticHbh(RoundDriver):
                             entry.forced_stale
                             or (now - entry.refreshed_at) >= t1))
         source = self.source
-        for entry in self.source_mft.entries():
+        source_mft = self.source_mft
+        if expire:
+            source_mft.expire(now, timing)
+        for entry in source_mft.entries():
             marked_at = entry.marked_at
             append((source, "src", entry.address,
                     marked_at is not None and (now - marked_at) < t1,
                     entry.forced_stale or (now - entry.refreshed_at) >= t1))
         return tuple(items)
 
-    def _timeline_rows(self) -> Tuple[List[Tuple], List[Tuple]]:
-        """Table rows plus the fusion-marked subset.  Mark flags use the
-        same freshness predicate as :meth:`_snapshot`, so an expired
-        mark is a fusion change."""
-        now, t1 = self.now, self.timing.t1
+    @staticmethod
+    def _timeline_rows(snapshot: Tuple) -> Tuple[List[Tuple], List[Tuple]]:
+        """Table rows plus the fusion-marked subset.  The mark flag is
+        the snapshot's (an MFT or source row's fourth field), so an
+        expired mark is a fusion change."""
         rows: List[Tuple] = []
         marks: List[Tuple] = []
-        states = self.states
-        for node in sorted(states):
-            state = states[node]
-            mct = state.mct
-            if mct is not None:
-                rows.append((node, "mct", mct.entry.address))
-            mft = state.mft
-            if mft is not None:
-                for entry in mft.entries():
-                    row = (node, "mft", entry.address)
-                    rows.append(row)
-                    marked_at = entry.marked_at
-                    if marked_at is not None and (now - marked_at) < t1:
-                        marks.append(row)
-        source = self.source
-        for entry in self.source_mft.entries():
-            row = (source, "src", entry.address)
+        for item in snapshot:
+            row = item[:3]
             rows.append(row)
-            marked_at = entry.marked_at
-            if marked_at is not None and (now - marked_at) < t1:
+            if item[1] != "mct" and item[3]:
                 marks.append(row)
         return rows, marks
-
-    def _expire_source(self, now: float, timing: ProtocolTiming) -> None:
-        self.source_mft.expire(now, timing)
 
     def _source_table(self) -> Mft:
         return self.source_mft
@@ -288,7 +262,7 @@ class StaticHbh(RoundDriver):
         timing = self.timing
         states = self.states
         join_plans = self._join_plans
-        msg_cache = self._join_msg_cache
+        join_messages = self._join_messages
         causal = self.causal
         intercepted: List[Tuple[Span, NodeId]] = []
         walk: Optional[Tuple] = (origin, message, span)
@@ -309,9 +283,9 @@ class StaticHbh(RoundDriver):
                     raise ProtocolError(f"unexpected join actions {actions!r}")
                 # Rule 3: the interceptor refreshed the joiner's entry,
                 # consumed the join and joins the channel itself upstream.
-                nested = msg_cache.get(current)
+                nested = join_messages.get(current)
                 if nested is None:
-                    nested = msg_cache[current] = \
+                    nested = join_messages[current] = \
                         JoinMessage(self.channel, current)
                 child = None
                 if span is not None:
@@ -354,8 +328,8 @@ class StaticHbh(RoundDriver):
         terminates when a route flip leaves a transient table cycle
         (two nodes regenerating trees at each other) — the cycle is
         walked once and left to age out over subsequent rounds.
-        Duplicates are dropped when sent, before a message is built;
-        the queue is FIFO, so the first send of each message is the
+        Duplicates are dropped when sent, before a message is looked
+        up; the queue is FIFO, so the first send of each message is the
         one walked, in the order it was sent.  Tree walks drop a
         repeated transit outcome before even that (see
         :meth:`_walk_tree`).
@@ -366,7 +340,8 @@ class StaticHbh(RoundDriver):
         seen: Set[Tuple] = set()
         transits: Dict[NodeId, List] = {}
         channel = self.channel
-        tree_messages = self._tree_msg_cache
+        tree_messages = self._tree_messages
+        fusion_messages = self._fusion_messages
 
         def send_tree(origin: NodeId, target: NodeId,
                       parent: Optional[Span]) -> None:
@@ -384,10 +359,11 @@ class StaticHbh(RoundDriver):
             key = ("fusion", origin, receivers)
             if key not in seen:
                 seen.add(key)
-                queue.append(
-                    (origin, FusionMessage(channel, receivers, sender=origin),
-                     parent)
-                )
+                message = fusion_messages.get(key)
+                if message is None:
+                    message = fusion_messages[key] = \
+                        FusionMessage(channel, receivers, sender=origin)
+                queue.append((origin, message, parent))
 
         for target in self.source_mft.tree_targets(self.now, self.timing):
             send_tree(self.source, target, None)

@@ -342,13 +342,22 @@ class HbhChannelState:
         return self.mct is not None or self.mft is not None
 
     def expire(self, now: float, timing: ProtocolTiming) -> List[Addr]:
-        """Age out dead state; returns the addresses destroyed."""
+        """Age out dead state; returns the addresses destroyed.
+
+        Runs for every router of a tree at every round boundary, so
+        the MCT's t2 test is :meth:`MctEntry.is_dead` inline and the
+        live MFT costs one :meth:`Mft.expire` call.
+        """
         removed: List[Addr] = []
-        if self.mct is not None and self.mct.is_dead(now, timing):
-            removed.append(self.mct.entry.address)
+        mct = self.mct
+        if mct is not None and (now - mct.entry.refreshed_at) >= timing.t2:
+            removed.append(mct.entry.address)
             self.mct = None
-        if self.mft is not None:
-            removed.extend(e.address for e in self.mft.expire(now, timing))
-            if len(self.mft) == 0:
+        mft = self.mft
+        if mft is not None:
+            dead = mft.expire(now, timing)
+            if dead:
+                removed.extend([entry.address for entry in dead])
+            if len(mft) == 0:
                 self.mft = None
         return removed

@@ -35,14 +35,18 @@ from repro.obs.registry import MetricsRegistry
 
 #: Targets that write a ``--save`` archive, the ones that render an
 #: archived sweep back with ``--load``, the ones that trace causal spans
-#: for ``--trace-out`` and the ones that keep flight-recorder rings for
-#: ``--flight-out``; any other target rejects the flag.
+#: for ``--trace-out``, the ones that keep flight-recorder rings for
+#: ``--flight-out``, and the ones that archive the tree-dynamics
+#: timeline for ``--timeline-out`` and flow records for
+#: ``--flows-out``; any other target rejects the flag.
 SAVE_TARGETS = sorted(FIGURE_METRICS) + ["churn", "flows"]
 LOAD_TARGETS = sorted(FIGURE_METRICS)
 TRACE_TARGETS = sorted(FIGURE_METRICS) + ["all", "claims", "report",
                                           "baseline", "ablations",
                                           "explain", "faults"]
 FLIGHT_TARGETS = ["explain", "faults"]
+TIMELINE_TARGETS = sorted(FIGURE_METRICS) + ["faults", "churn", "timeline"]
+FLOWS_TARGETS = sorted(FIGURE_METRICS) + ["faults", "churn", "flows"]
 
 
 def _progress_printer(quiet: bool):
@@ -438,18 +442,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     for flag, honoured in (("save", SAVE_TARGETS), ("load", LOAD_TARGETS),
                            ("trace-out", TRACE_TARGETS),
-                           ("flight-out", FLIGHT_TARGETS)):
+                           ("flight-out", FLIGHT_TARGETS),
+                           ("timeline-out", TIMELINE_TARGETS),
+                           ("flows-out", FLOWS_TARGETS)):
         if getattr(args, flag.replace("-", "_")) and args.target not in honoured:
             parser.error(f"--{flag} is not supported by {args.target!r}; "
                          f"it is honoured by {', '.join(honoured)}")
-    # A tracing target still traces nothing when it renders an archive
-    # or runs every fault scenario (in parallel, untraced).
-    untraced = ""
-    if args.load:
-        untraced = "--load"
-    elif args.target == "faults" and args.scenario == "all":
-        untraced = "--scenario all"
-    for flag in ("trace-out", "flight-out"):
+    # A target records nothing when it renders an archive, and a tracing
+    # target traces nothing when it runs every fault scenario (in
+    # parallel, untraced).
+    for flag in ("trace-out", "flight-out", "timeline-out", "flows-out"):
+        untraced = ""
+        if args.load:
+            untraced = "--load"
+        elif (args.target == "faults" and args.scenario == "all"
+              and flag in ("trace-out", "flight-out")):
+            untraced = "--scenario all"
         if untraced and getattr(args, flag.replace("-", "_")):
             parser.error(f"--{flag} is not supported by {args.target!r} "
                          f"with {untraced}, which runs no traced simulation")

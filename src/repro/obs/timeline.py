@@ -41,6 +41,7 @@ drivers can all instrument themselves without import cycles.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -183,7 +184,8 @@ class TreeTimeline:
 
     def attach_monitor(self, monitor: "ConvergenceMonitor") -> None:
         """Wire a convergence monitor (both directions: the monitor
-        records ``stabilize`` events back into this timeline)."""
+        records ``stabilize`` events back into this timeline, which it
+        holds weakly, so the pair forms no reference cycle)."""
         self.monitor = monitor
         monitor.timeline = self
 
@@ -459,8 +461,20 @@ class ConvergenceMonitor:
         self.registry = registry
         self.quiet = quiet
         self.window = window if window is not None else quiet
-        self.timeline: Optional[TreeTimeline] = None
+        self._timeline: Optional["weakref.ref[TreeTimeline]"] = None
         self._watches: Dict[Tuple[str, str], _Watch] = {}
+
+    @property
+    def timeline(self) -> Optional[TreeTimeline]:
+        """The timeline ``stabilize`` events go to, or None.  Held
+        weakly: the timeline holds this monitor, and its owner (a
+        driver, a network, a sweep cell) keeps it alive."""
+        ref = self._timeline
+        return None if ref is None else ref()
+
+    @timeline.setter
+    def timeline(self, timeline: Optional[TreeTimeline]) -> None:
+        self._timeline = None if timeline is None else weakref.ref(timeline)
 
     # ------------------------------------------------------------------
     # Event intake (called by TreeTimeline)
@@ -566,8 +580,9 @@ class ConvergenceMonitor:
                               protocol=protocol, channel=channel)
         self.registry.inc("convergence.windows", protocol=protocol,
                           channel=channel)
-        if self.timeline is not None and self.timeline.enabled:
-            self.timeline.record(
+        timeline = self.timeline
+        if timeline is not None and timeline.enabled:
+            timeline.record(
                 stabilized_t, protocol, channel, STABILIZE,
                 detail=f"latency={latency:g} churn={watch.churn}")
         return summary

@@ -12,11 +12,10 @@ these rules — nothing is special-cased.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Deque, Dict, Hashable, List, Optional, Set, Tuple
 
 from repro.core.round_driver import MAX_CASCADE, RoundDriver
 from repro.core.rules import CONSUME_ONLY, FORWARD_ONLY, Consume, Forward
-from repro.core.tables import ProtocolTiming
 from repro.errors import ProtocolError
 from repro.metrics.distribution import DataDistribution
 from repro.obs.causal import DATA, TREE, Span
@@ -51,66 +50,77 @@ class StaticReunite(RoundDriver):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.source_state = ReuniteState()
+        #: One tree message per ``(target, marked)``, built once: the
+        #: cascade re-emits the same frozen messages every round
+        #: (traced walks stamp a copy with their span).
+        self._tree_messages: Dict[Tuple[NodeId, bool], ReuniteTree] = {}
 
     # ------------------------------------------------------------------
     # Rounds
     # ------------------------------------------------------------------
-    def _snapshot(self) -> Tuple:
+    def _snapshot(self, expire: bool = False) -> Tuple:
+        """A hashable structural view of all channel state, source
+        first (see :meth:`RoundDriver._snapshot`).
+
+        Runs at every round boundary, so the stale flags are computed
+        inline — the predicate of :meth:`ReuniteEntry.is_stale` —
+        instead of one method call per entry.
+        """
         now, timing = self.now, self.timing
+        t1 = timing.t1
         items: List[Tuple] = []
+        append = items.append
 
         def emit(node: NodeId, state: ReuniteState) -> None:
-            if state.mct is not None:
-                for entry in state.mct:
-                    items.append((node, "mct", entry.address,
-                                  entry.is_stale(now, timing)))
-            if state.mft is not None:
-                dst = state.mft.dst
-                items.append((
-                    node, "dst",
-                    dst.address if dst is not None else None,
-                    state.mft.is_stale(now, timing),
-                ))
-                for entry in state.mft.receivers():
-                    items.append((node, "mft", entry.address,
-                                  entry.is_stale(now, timing)))
+            mct = state.mct
+            if mct is not None:
+                for entry in mct:
+                    append((node, "mct", entry.address,
+                            entry.forced_stale
+                            or (now - entry.refreshed_at) >= t1))
+            mft = state.mft
+            if mft is not None:
+                dst = mft.dst
+                if dst is None:
+                    append((node, "dst", None, True))
+                else:
+                    append((node, "dst", dst.address,
+                            dst.forced_stale
+                            or (now - dst.refreshed_at) >= t1))
+                for entry in mft.receivers():
+                    append((node, "mft", entry.address,
+                            entry.forced_stale
+                            or (now - entry.refreshed_at) >= t1))
 
-        emit(self.source, self.source_state)
-        for node in sorted(self.states):
-            emit(node, self.states[node])
+        source_state = self.source_state
+        if expire:
+            source_state.expire(now, timing)
+            source_mft = source_state.mft
+            if source_mft is not None and source_mft.dst is None:
+                # Fig. 2(d): the source re-anchors data on the oldest
+                # fresh receiver once the old dst entry dies.
+                source_mft.promote_receiver_to_dst(now, timing)
+                if source_mft.empty:
+                    source_state.mft = None
+        emit(self.source, source_state)
+        states = self.states
+        for node in sorted(states):
+            state = states[node]
+            if expire:
+                state.expire(now, timing)
+                if not state.in_tree:
+                    del states[node]
+                    continue
+            emit(node, state)
         return tuple(items)
 
-    def _timeline_rows(self) -> Tuple[List[Tuple], List[Tuple]]:
+    @staticmethod
+    def _timeline_rows(snapshot: Tuple) -> Tuple[List[Tuple], List[Tuple]]:
         """Table rows; REUNITE has no fusion marks.  The dst anchor is
-        its own table, so a Fig. 2(d) re-anchor shows up as the dst row
-        moving."""
-        rows: List[Tuple] = []
-
-        def emit(node: NodeId, state: ReuniteState) -> None:
-            if state.mct is not None:
-                for entry in state.mct:
-                    rows.append((node, "mct", entry.address))
-            if state.mft is not None:
-                dst = state.mft.dst
-                if dst is not None:
-                    rows.append((node, "dst", dst.address))
-                for entry in state.mft.receivers():
-                    rows.append((node, "mft", entry.address))
-
-        emit(self.source, self.source_state)
-        for node in sorted(self.states):
-            emit(node, self.states[node])
+        its own table (a headless MFT has no dst row), so a Fig. 2(d)
+        re-anchor shows up as the dst row moving."""
+        rows = [item[:3] for item in snapshot if item[2] is not None]
         return rows, []
-
-    def _expire_source(self, now: float, timing: ProtocolTiming) -> None:
-        self.source_state.expire(now, timing)
-        source_mft = self.source_state.mft
-        if source_mft is not None and source_mft.dst is None:
-            # Fig. 2(d): the source re-anchors data on the oldest fresh
-            # receiver once the old dst entry dies.
-            source_mft.promote_receiver_to_dst(now, timing)
-            if source_mft.empty:
-                self.source_state.mft = None
 
     def _source_table(self) -> Optional[ReuniteMft]:
         return self.source_state.mft
@@ -199,12 +209,18 @@ class StaticReunite(RoundDriver):
         # (possible under asymmetric routing) cannot make the cascade
         # unbounded — the loop then resolves through soft state.
         emitted: Set[Tuple[NodeId, NodeId, bool]] = set()
+        channel = self.channel
+        tree_messages = self._tree_messages
 
-        def enqueue(origin: NodeId, message: ReuniteTree,
+        def enqueue(origin: NodeId, target: NodeId, marked: bool = False,
                     parent: Optional[Span] = None) -> None:
-            key = (origin, message.target, message.marked)
+            key = (origin, target, marked)
             if key not in emitted:
                 emitted.add(key)
+                message = tree_messages.get((target, marked))
+                if message is None:
+                    message = tree_messages[(target, marked)] = \
+                        ReuniteTree(channel, target, marked=marked)
                 queue.append((origin, message, parent))
 
         mft = self.source_state.mft
@@ -212,13 +228,10 @@ class StaticReunite(RoundDriver):
             return
         now, timing = self.now, self.timing
         if mft.dst is not None:
-            enqueue(
-                self.source,
-                ReuniteTree(self.channel, mft.dst.address,
-                            marked=mft.dst.is_stale(now, timing)),
-            )
+            enqueue(self.source, mft.dst.address,
+                    mft.dst.is_stale(now, timing))
         for entry in mft.fresh_receivers(now, timing):
-            enqueue(self.source, ReuniteTree(self.channel, entry.address))
+            enqueue(self.source, entry.address)
         causal = self.causal
         tracing = causal is not None and causal.enabled
         round_trace = (
@@ -271,12 +284,7 @@ class StaticReunite(RoundDriver):
                     consumed = True
                 elif cls is RegenerateTree:
                     if action.target != current:
-                        enqueue(
-                            current,
-                            ReuniteTree(self.channel, action.target,
-                                        marked=action.marked),
-                            span,
-                        )
+                        enqueue(current, action.target, action.marked, span)
                 elif cls is not Forward:  # pragma: no cover
                     raise ProtocolError(f"unexpected tree action {action!r}")
             if consumed:

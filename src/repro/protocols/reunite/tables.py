@@ -90,8 +90,12 @@ class ReuniteMct:
                 if not e.is_stale(now, timing)]
 
     def expire(self, now: float, timing: ProtocolTiming) -> List[Addr]:
-        """Drop t2-dead entries; returns their addresses."""
-        dead = [a for a, e in self._entries.items() if e.is_dead(now, timing)]
+        """Drop t2-dead entries; returns their addresses (the t2 test
+        is :meth:`ReuniteEntry.is_dead` inline: this runs for every
+        router of a tree at every round boundary)."""
+        t2 = timing.t2
+        dead = [a for a, e in self._entries.items()
+                if (now - e.refreshed_at) >= t2]
         for address in dead:
             del self._entries[address]
         return dead
@@ -141,16 +145,21 @@ class ReuniteMft:
         return self.dst is None or self.dst.is_stale(now, timing)
 
     def expire(self, now: float, timing: ProtocolTiming) -> List[Addr]:
-        """Drop t2-dead entries (dst included); returns addresses."""
+        """Drop t2-dead entries (dst included); returns addresses.  The
+        t2 test is :meth:`ReuniteEntry.is_dead` inline, as in
+        :meth:`ReuniteMct.expire`."""
+        t2 = timing.t2
         removed: List[Addr] = []
-        if self.dst is not None and self.dst.is_dead(now, timing):
-            removed.append(self.dst.address)
+        dst = self.dst
+        if dst is not None and (now - dst.refreshed_at) >= t2:
+            removed.append(dst.address)
             self.dst = None
-        dead = [a for a, e in self._receivers.items()
-                if e.is_dead(now, timing)]
+        receivers = self._receivers
+        dead = [a for a, e in receivers.items()
+                if (now - e.refreshed_at) >= t2]
         for address in dead:
             removed.append(address)
-            del self._receivers[address]
+            del receivers[address]
         return removed
 
     def promote_receiver_to_dst(self, now: float,

@@ -53,7 +53,16 @@ def shortest_paths_from(
                 continue
             candidate = dist + cost
             best = distance.get(neighbor)
-            if best is None or candidate < best:
+            if best is None:
+                distance[neighbor] = candidate
+                predecessor[neighbor] = node
+                # A degree-1 node (every host) is reached only through
+                # this one neighbour, so its distance is already final,
+                # and once popped it would relax nothing: keep it off
+                # the heap.
+                if len(adjacency[neighbor]) > 1:
+                    heappush(frontier, (candidate, neighbor))
+            elif candidate < best:
                 distance[neighbor] = candidate
                 predecessor[neighbor] = node
                 heappush(frontier, (candidate, neighbor))

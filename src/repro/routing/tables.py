@@ -480,7 +480,7 @@ class UnicastRouting:
         else:
             path = [origin]
             node = origin
-            guard = len(self.topology.nodes) + 1
+            guard = self.topology.num_nodes + 1
             while node != destination:
                 node = self.next_hop(node, destination)
                 path.append(node)

@@ -269,6 +269,11 @@ class Topology:
         ]
 
     @property
+    def num_nodes(self) -> int:
+        """Number of nodes (routers and hosts)."""
+        return len(self._kinds)
+
+    @property
     def num_links(self) -> int:
         """Number of physical (bidirectional) links."""
         return len(self._costs) // 2

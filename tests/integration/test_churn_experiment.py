@@ -7,7 +7,8 @@ and the stream prefix matches the committed golden.  The scenario
 streams themselves are pinned too: a capped stream draws only the
 sessions it emits, and the regional-blackout departure window keeps
 its recorded bytes.  A work ledger pins the trimmed run's control
-messages, membership events, deliveries and oracle checks.
+messages, membership events, deliveries and oracle checks, and the
+sha256 of its merged timeline.
 """
 
 import hashlib
@@ -27,13 +28,16 @@ from repro.experiments.churn import (
     scenario_setup,
     write_stream_prefix,
 )
+from repro.obs.timeline import write_events_jsonl
 from repro.workload import JOIN, LEAVE, SessionDuration
 from repro.workload.schedule import write_stream_jsonl
 
 # A trimmed ci-small keeps the whole module comfortably fast while
 # still exercising both protocols, all shards and the settle loop.
+# Churn cells always run the timeline; ``timeline=True`` only adds its
+# events to the payloads (and so to the archives compared below).
 RUN_KWARGS = dict(scenario_name="ci-small", seed=1, events=600,
-                  channels=30)
+                  channels=30, timeline=True)
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +118,18 @@ class TestChurnLedger:
             "hbh": {"control.messages": 47537, **shared},
             "reunite": {"control.messages": 5525, **shared},
         }
+
+    def test_merged_timeline_is_pinned(self, serial_payloads):
+        """The merged timeline archive, as ``--timeline-out`` writes
+        it.  Recorded while every round still diffed the tables; the
+        drivers now diff only when a round's snapshot changed, and
+        must not lose or reorder an event."""
+        events = [event for payload in serial_payloads
+                  for event in payload["timeline"]]
+        buffer = io.StringIO()
+        assert write_events_jsonl(events, buffer) == 2828
+        assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == (
+            "81c50a31eff46e7c0b9ef3e7db913b7ac32a00d937eedc329a08c86fb3756ad2")
 
 
 class TestGoldenStreamPrefix:

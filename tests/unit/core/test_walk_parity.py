@@ -35,12 +35,14 @@ QUIESCENT_ROUNDS = 8
 
 def _record_rounds(driver, log):
     """Append ``driver``'s state to ``log`` after each of its rounds,
-    including the rounds :meth:`converge` runs."""
+    including the rounds :meth:`converge` runs (which compares the
+    closing snapshots ``run_round`` returns)."""
     run_round = driver.run_round
 
-    def recorded() -> None:
-        run_round()
+    def recorded():
+        snapshot = run_round()
         log.append(_state(driver))
+        return snapshot
 
     driver.run_round = recorded
 

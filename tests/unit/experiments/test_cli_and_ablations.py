@@ -45,19 +45,32 @@ class TestCli:
                        ["report"], ["baseline"], ["ablations"], ["bench"],
                        ["timeline"], ["churn"], ["flows"],
                        ["faults", "--scenario", "all"])),
+        *(pytest.param("timeline-out", argv,
+                       id="timeline-out-" + "-".join(argv))
+          for argv in (["explain"], ["flows"], ["all"], ["claims"],
+                       ["report"], ["baseline"], ["ablations"], ["bench"],
+                       ["fig7a", "--load", "in.json"])),
+        *(pytest.param("flows-out", argv, id="flows-out-" + "-".join(argv))
+          for argv in (["explain"], ["timeline"], ["all"], ["claims"],
+                       ["report"], ["baseline"], ["ablations"], ["bench"],
+                       ["fig7b", "--load", "in.json"])),
     ])
     def test_save_rejected_where_ignored(self, flag, argv, tmp_path, capsys):
         """An output flag (``--save``, ``--trace-out``,
-        ``--flight-out``) on a target that would ignore it, or on a
-        tracing target that renders an archive or runs every fault
-        scenario, is rejected before anything runs, so no file is
-        written."""
+        ``--flight-out``, ``--timeline-out``, ``--flows-out``) on a
+        target that would ignore it, or on a target that renders an
+        archive (or, for tracing, runs every fault scenario), is
+        rejected before anything runs, so no file is written."""
         honoured = {
             "save": "fig7a, fig7b, fig8a, fig8b, scale10k, churn, flows",
             "trace-out": "fig7a, fig7b, fig8a, fig8b, scale10k, all, "
                          "claims, report, baseline, ablations, explain, "
                          "faults",
             "flight-out": "explain, faults",
+            "timeline-out": "fig7a, fig7b, fig8a, fig8b, scale10k, "
+                            "faults, churn, timeline",
+            "flows-out": "fig7a, fig7b, fig8a, fig8b, scale10k, "
+                         "faults, churn, flows",
         }
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exit_info:

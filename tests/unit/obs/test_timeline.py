@@ -1,10 +1,13 @@
 """Unit tests for the tree-dynamics timeline and convergence monitor."""
 
+import gc
 import io
 import json
+import weakref
 
 import pytest
 
+from repro.core.static_driver import StaticHbh
 from repro.obs.registry import MetricsRegistry
 from repro.obs.timeline import (
     ALL_CHANNELS,
@@ -23,6 +26,8 @@ from repro.obs.timeline import (
     read_events,
     write_events_jsonl,
 )
+from repro.protocols.reunite.static_driver import StaticReunite
+from repro.routing.tables import UnicastRouting
 
 
 class TestTimelineEvent:
@@ -266,3 +271,46 @@ class TestConvergenceMonitor:
     def test_quiet_must_be_positive(self):
         with pytest.raises(ValueError):
             ConvergenceMonitor(MetricsRegistry(), quiet=0.0)
+
+    def test_monitor_holds_its_timeline_weakly(self):
+        _registry, timeline, monitor = self._wired()
+        assert monitor.timeline is timeline
+        ref = weakref.ref(timeline)
+        del timeline
+        assert ref() is None
+        assert monitor.timeline is None
+        monitor.perturb("hbh", "<1,G>", 1.0)
+        assert monitor.poll(10.0)[0]["latency"] == 0.0  # nothing to record into
+
+
+class TestNoReferenceCycles:
+    """A driver's timeline, monitor and registry form no reference
+    cycle, so a dropped channel is freed by reference counting at
+    once, not by the next full collection."""
+
+    @pytest.mark.parametrize("driver_cls", [StaticHbh, StaticReunite])
+    def test_a_dropped_driver_frees_its_observers(self, driver_cls,
+                                                  fig2_topology):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            driver = driver_cls(fig2_topology, 0,
+                                routing=UnicastRouting(fig2_topology))
+            registry = MetricsRegistry()
+            timeline = TreeTimeline(enabled=True, registry=registry)
+            monitor = ConvergenceMonitor(registry, quiet=3.0)
+            driver.attach_timeline(timeline, monitor=monitor)
+            for receiver in (11, 12, 13):
+                driver.add_receiver(receiver)
+                driver.converge()
+            driver.remove_receiver(12)
+            for _ in range(6):
+                driver.run_round()
+            assert STABILIZE in {event.kind for event in timeline.events()}
+            refs = [weakref.ref(obj)
+                    for obj in (driver, timeline, monitor, registry)]
+            del driver, timeline, monitor, registry
+            assert [ref() for ref in refs] == [None, None, None, None]
+        finally:
+            if enabled:
+                gc.enable()

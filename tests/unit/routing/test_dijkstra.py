@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import RoutingError
+from repro.experiments.config import make_random50_setup
 from repro.routing.dijkstra import (
     shortest_path,
     shortest_path_tree,
@@ -149,6 +150,41 @@ def reference_shortest_paths(topology: Topology, origin):
     return distance, predecessor
 
 
+def all_on_heap_shortest_paths(topology: Topology, origin):
+    """``shortest_paths_from`` as it was before degree-1 nodes were
+    kept off the heap: every node it reaches is pushed, and a popped
+    leaf scans its one (settled) neighbour."""
+    topology.kind(origin)  # raises on unknown node
+    # Sorted by neighbor id, exactly the order neighbors() returns.
+    adjacency = topology.weighted_adjacency()
+    distance = {origin: 0.0}
+    predecessor = {origin: None}
+    # Heap entries: (distance, node). The deterministic tie-break lives
+    # in the relaxation step, not the pop order.
+    frontier = [(0.0, origin)]
+    settled = set()
+    heappop, heappush = heapq.heappop, heapq.heappush
+    while frontier:
+        dist, node = heappop(frontier)
+        if node in settled:
+            continue
+        settled.add(node)
+        for neighbor, cost in adjacency[node]:
+            if neighbor in settled:
+                continue
+            candidate = dist + cost
+            best = distance.get(neighbor)
+            if best is None or candidate < best:
+                distance[neighbor] = candidate
+                predecessor[neighbor] = node
+                heappush(frontier, (candidate, neighbor))
+            elif candidate == best and node < predecessor[neighbor]:
+                # Equal-cost tie: prefer the smallest predecessor id so
+                # the resulting path is deterministic.
+                predecessor[neighbor] = node
+    return distance, predecessor
+
+
 def assert_matches_reference(topology: Topology, origin) -> None:
     """Same values and the same dict insertion order as the reference."""
     got = shortest_paths_from(topology, origin)
@@ -245,3 +281,64 @@ class TestMatchesReference:
             topology.set_cost(a, b, float(cost))
             for origin in topology.nodes:
                 assert_matches_reference(topology, origin)
+
+
+class TestLeavesOffTheHeap:
+    """A degree-1 node is reached only through its one neighbour, so
+    Dijkstra finalises it when that neighbour relaxes it and never
+    pushes it.  The maps, insertion order included, must equal the
+    all-on-heap kernel's."""
+
+    @staticmethod
+    def assert_same(topology: Topology, origin) -> None:
+        got = shortest_paths_from(topology, origin)
+        want = all_on_heap_shortest_paths(topology, origin)
+        for got_map, want_map in zip(got, want):
+            assert list(got_map.items()) == list(want_map.items())
+
+    def test_random50_with_hosts_from_every_origin(self):
+        topology = make_random50_setup(3).topology
+        leaves = [n for n in topology.nodes if topology.degree(n) == 1]
+        assert len(leaves) >= 50  # one host per router
+        for origin in topology.nodes:
+            self.assert_same(topology, origin)
+
+    def test_two_nodes_are_both_leaves(self):
+        topology = Topology()
+        topology.add_router(0)
+        topology.add_router(1)
+        topology.add_link(0, 1, 2.0, 3.0)
+        assert shortest_paths_from(topology, 0) == ({0: 0.0, 1: 2.0},
+                                                    {0: None, 1: 0})
+        assert shortest_paths_from(topology, 1) == ({1: 0.0, 0: 3.0},
+                                                    {1: None, 0: 1})
+        for origin in (0, 1):
+            self.assert_same(topology, origin)
+
+    def test_leaf_origin(self):
+        setup = make_random50_setup(4)
+        assert setup.topology.degree(setup.source) == 1
+        self.assert_same(setup.topology, setup.source)
+
+    def test_line_keeps_its_relays_on_the_heap(self):
+        from repro.topology.random_graphs import line_topology
+
+        line = line_topology(6)  # two leaves, four degree-2 relays
+        for origin in line.nodes:
+            self.assert_same(line, origin)
+
+    def test_star(self):
+        topology = Topology(name="star")
+        topology.add_router(0)
+        for leaf in (3, 1, 4):
+            topology.add_router(leaf)
+            topology.add_link(0, leaf, float(leaf), 1.0)
+        for host in (9, 2, 6):
+            topology.add_host(host, attached_to=0, cost_up=2.0,
+                              cost_down=1.0)
+        distance, predecessor = shortest_paths_from(topology, 0)
+        assert distance == {0: 0.0, 1: 1.0, 2: 1.0, 3: 3.0, 4: 4.0,
+                            6: 1.0, 9: 1.0}
+        assert set(predecessor.values()) == {None, 0}
+        for origin in topology.nodes:
+            self.assert_same(topology, origin)
