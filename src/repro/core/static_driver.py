@@ -574,11 +574,12 @@ class StaticHbh(RoundDriver):
             )
             if actions is FORWARD_ONLY:
                 continue
-            if any(isinstance(action, Consume) for action in actions):
-                if span is not None:
-                    self._fusion_effects(span, current, "mft",
-                                         message.sender, marked, adopted)
-                return
+            # process_fusion returns FORWARD_ONLY or CONSUME_ONLY, so
+            # this router consumed the fusion.
+            if span is not None:
+                self._fusion_effects(span, current, "mft",
+                                     message.sender, marked, adopted)
+            return
 
     def _fusion_effects(self, span: Span, node: NodeId, table: str,
                         sender: NodeId, marked: List[NodeId],

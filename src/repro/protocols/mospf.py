@@ -12,9 +12,7 @@ copies) *without* requiring every router to run multicast — so at full
 deployment the two curves should coincide, which
 ``tests/unit/pim/test_mospf.py`` and the cross-protocol property test
 verify.  Like the PIM baselines (and NS's centralized multicast), the
-tree is computed centrally rather than by simulating the LSA flooding;
-the link-state substrate itself is exercised separately in
-:mod:`repro.routing.link_state`.
+tree is computed centrally rather than by simulating the LSA flooding.
 """
 
 from __future__ import annotations

@@ -25,11 +25,6 @@ from repro.routing.distance_vector import (
     DvRouting,
     deploy_distance_vector,
 )
-from repro.routing.link_state import (
-    LinkStateAgent,
-    LsRouting,
-    deploy_link_state,
-)
 
 __all__ = [
     "shortest_path_tree",
@@ -44,7 +39,4 @@ __all__ = [
     "DistanceVectorAgent",
     "DvRouting",
     "deploy_distance_vector",
-    "LinkStateAgent",
-    "LsRouting",
-    "deploy_link_state",
 ]

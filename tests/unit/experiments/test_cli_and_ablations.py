@@ -54,37 +54,30 @@ class TestCli:
           for argv in (["explain"], ["timeline"], ["all"], ["claims"],
                        ["report"], ["baseline"], ["ablations"], ["bench"],
                        ["fig7b", "--load", "in.json"])),
+        *(pytest.param(flag, [target], id=f"{flag}-{target}")
+          for flag, target in (("csv", "explain"), ("stream-out", "explain"),
+                               ("jobs", "timeline"), ("runs", "bench"),
+                               ("protocols", "all"), ("scenario", "fig7a"),
+                               ("cache-dir", "ablations"))),
     ])
     def test_save_rejected_where_ignored(self, flag, argv, tmp_path, capsys):
-        """An output flag (``--save``, ``--trace-out``,
-        ``--flight-out``, ``--timeline-out``, ``--flows-out``) on a
-        target that would ignore it, or on a target that renders an
-        archive (or, for tracing, runs every fault scenario), is
-        rejected before anything runs, so no file is written."""
-        honoured = {
-            "save": "fig7a, fig7b, fig8a, fig8b, scale10k, churn, flows",
-            "trace-out": "fig7a, fig7b, fig8a, fig8b, scale10k, all, "
-                         "claims, report, baseline, ablations, explain, "
-                         "faults",
-            "flight-out": "explain, faults",
-            "timeline-out": "fig7a, fig7b, fig8a, fig8b, scale10k, "
-                            "faults, churn, timeline",
-            "flows-out": "fig7a, fig7b, fig8a, fig8b, scale10k, "
-                         "faults, churn, flows",
-        }
+        """A flag on a target that would ignore it is an unrecognized
+        argument.  A recording flag on a target that renders an archive
+        (``--load``) or, for tracing, runs every fault scenario
+        (``faults --scenario all``) is rejected too.  Either way the
+        CLI exits 2 before anything runs, so no file is written."""
         out = tmp_path / "out"
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, f"--{flag}", str(out)])
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         target, *options = argv
-        if target in honoured[flag].split(", "):
+        if options:
             assert (f"--{flag} is not supported by {target!r} with "
                     f"{options[0]}") in err
             assert "which runs no traced simulation" in err
         else:
-            assert f"--{flag} is not supported by {target!r}" in err
-            assert f"it is honoured by {honoured[flag]}" in err
+            assert f"unrecognized arguments: --{flag}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("target", [
@@ -95,9 +88,30 @@ class TestCli:
         with pytest.raises(SystemExit) as exit_info:
             main([target, "--load", str(tmp_path / "in.json")])
         assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert f"--load is not supported by {target!r}" in err
-        assert "fig7a, fig7b, fig8a, fig8b, scale10k" in err
+        assert "unrecognized arguments: --load" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(argv, id="-".join(argv)) for argv in (
+            ["fig7a", "--runs", "0"], ["report", "--runs", "0"],
+            ["ablations", "--runs", "0"], ["fig7a", "--jobs", "0"],
+            ["churn", "--events", "0"], ["churn", "--channels", "0"],
+            ["churn", "--stream-limit", "0"], ["flows", "--events", "0"],
+            ["flows", "--flow-sample", "0"], ["bench", "--iterations", "0"],
+            ["report", "--figure", "fig99"],
+            *([target, "--scenario", "bogus"]
+              for target in ("faults", "explain", "timeline", "churn")),
+        )
+    ])
+    def test_bad_value_rejected_before_running(self, argv, capsys):
+        """A zero count or an unknown figure or scenario name exits 2
+        at parse time, naming the flag, and nothing runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {argv[1]}:" in captured.err
+        assert captured.out == ""
 
     def test_figure_save_writes_an_archive_load_renders(self, tmp_path,
                                                         capsys):
