@@ -171,11 +171,10 @@ def test_shared_routing_one_table_build_per_draw(benchmark):
 
 def test_link_transmit_batched(benchmark):
     """Benchmark + structural guard of the data-plane fast path: 1k
-    same-instant packets through ``Link.transmit`` on a fault-free,
-    untraced network must ride batched drain events — consulting no
-    fault RNG (tripwires on every knob) and appending nothing to the
-    trace ring — and use strictly fewer engine events than one per
-    packet."""
+    same-instant packets through ``Link.transmit`` on a fault-free
+    network must ride batched drain events — consulting no fault RNG
+    (tripwires on every knob) — and use strictly fewer engine events
+    than one per packet."""
     from repro.netsim.network import Network
     from repro.netsim.packet import Packet
     from repro.topology.paper import fig2_topology
@@ -212,8 +211,6 @@ def test_link_transmit_batched(benchmark):
 
     network = benchmark(run)
     assert draws == []
-    tracer = network.trace
-    assert len(tracer) == 0 and tracer.dropped == 0
     # 1k transmissions coalesced into far fewer drain events: the whole
     # burst shares one batch (plus the handful of bookkeeping events).
     assert network.simulator.events_executed < 1_000

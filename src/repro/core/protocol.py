@@ -5,7 +5,7 @@ of receivers onto a :class:`~repro.netsim.network.Network`, and exposes
 converge/measure helpers so tests and examples read like the paper's
 scenarios::
 
-    network = Network(isp_topology(seed=1), trace_enabled=True)
+    network = Network(isp_topology(seed=1))
     channel = HbhChannel(network, source_node=18)
     channel.join(25)
     channel.join(31)

@@ -96,19 +96,17 @@ class HbhRouterAgent(Agent):
         for channel, state in self.states.items():
             was_branching = state.is_branching
             removed = state.expire(now, self.timing)
-            if removed:
-                self._trace("expire", f"{channel}: destroyed {removed}")
-                if watched:
-                    channel_text = str(channel)
-                    node = self.node.node_id
-                    for address in removed:
-                        timeline.record(now, "hbh", channel_text,
-                                        ENTRY_REMOVE, node=node,
-                                        detail=f"expired {address}")
-                    if was_branching and not state.is_branching:
-                        timeline.record(now, "hbh", channel_text,
-                                        BRANCH_REMOVE, node=node,
-                                        detail="aged out")
+            if removed and watched:
+                channel_text = str(channel)
+                node = self.node.node_id
+                for address in removed:
+                    timeline.record(now, "hbh", channel_text,
+                                    ENTRY_REMOVE, node=node,
+                                    detail=f"expired {address}")
+                if was_branching and not state.is_branching:
+                    timeline.record(now, "hbh", channel_text,
+                                    BRANCH_REMOVE, node=node,
+                                    detail="aged out")
             if not state.in_tree:
                 emptied.append(channel)
         for channel in emptied:
@@ -351,7 +349,6 @@ class HbhRouterAgent(Agent):
                 packet.span_id,
                 f"branched into {copies} copies at {self.node.node_id}",
             )
-        self._trace("branch-data", f"{payload.channel} -> {len(state.mft)} entries")
         return True
 
     # ------------------------------------------------------------------
@@ -436,14 +433,6 @@ class HbhRouterAgent(Agent):
             state = HbhChannelState()
             self.states[channel] = state
         return state
-
-    def _trace(self, event: str, detail: str) -> None:
-        network = self.node.network
-        trace = network.trace
-        if trace.enabled:
-            trace.record(
-                network.simulator.now, self.node.node_id, event, detail
-            )
 
     def _count_rule_event(self, message: str, channel: Channel,
                           now: float) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.claims import check_claims
 from repro.experiments.figures import FIGURE_METRICS
@@ -473,13 +473,22 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _protocol_list(text: str) -> Tuple[str, ...]:
-    """``type=`` of ``--protocols``: the comma-separated names."""
-    names = tuple(name.strip() for name in text.split(",") if name.strip())
-    if not names:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated protocol names, got {text!r}")
-    return names
+def _protocol_list(known: Sequence[str]) -> Callable[[str], Tuple[str, ...]]:
+    """``type=`` of ``--protocols``: comma-separated names, each one of
+    ``known`` (the protocols the target can run)."""
+    def parse(text: str) -> Tuple[str, ...]:
+        names = tuple(name.strip() for name in text.split(",")
+                      if name.strip())
+        if not names:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated protocol names, got {text!r}")
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {', '.join(map(repr, unknown))} "
+                f"(choose from {', '.join(known)})")
+        return names
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -492,8 +501,9 @@ def build_parser() -> argparse.ArgumentParser:
     one child would change the default of them all.
     """
     from repro.experiments import churn, faults
-    from repro.experiments.explain import FIG2_SCENARIO
+    from repro.experiments.explain import EXPLAIN_PROTOCOLS, FIG2_SCENARIO
     from repro.obs.bench import DEFAULT_ITERATIONS
+    from repro.protocols.base import protocol_names
 
     def parent(*flag: str, **options) -> argparse.ArgumentParser:
         group = argparse.ArgumentParser(add_help=False)
@@ -584,12 +594,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 "byte-identical replay)")
         return group
 
-    def protocols(default: Optional[str] = None) -> argparse.ArgumentParser:
-        return parent("--protocols", type=_protocol_list, default=default,
-                      help="comma-separated protocol list overriding the "
-                           "default (e.g. pim-sm,pim-ss,reunite,hbh,mospf "
-                           "adds the mospf reference curve; 'explain' "
-                           "renders the first)")
+    def protocols(known: Sequence[str], default: Optional[str] = None
+                  ) -> argparse.ArgumentParser:
+        return parent("--protocols", type=_protocol_list(known),
+                      default=default,
+                      help=f"comma-separated protocol list overriding the "
+                           f"default, from {', '.join(known)} ('explain' "
+                           f"renders the first)")
 
     def out(default: Optional[str]) -> argparse.ArgumentParser:
         rev = "BENCH_<git rev>.json"
@@ -617,8 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = (cache, engine, trace)
     for name, metric in FIGURE_METRICS.items():
         target(name, _run_figure, f"regenerate {name} ({metric} per group "
-               "size)", runs(None), *sweep, protocols(), timeline, flows,
-               save, figure)
+               "size)", runs(None), *sweep, protocols(protocol_names()),
+               timeline, flows, save, figure)
     target("all", _run_claims, "every figure plus the claim checks",
            runs(None), *sweep)
     target("claims", _run_claims, "check the paper's quantitative claims",
@@ -663,7 +674,8 @@ def build_parser() -> argparse.ArgumentParser:
     explain = target("explain", _run_explain, "render the causal chains "
                      "behind a scenario's tree",
                      scenario([FIG2_SCENARIO, *faults.SCENARIOS],
-                              FIG2_SCENARIO), protocols("hbh"), trace, flight)
+                              FIG2_SCENARIO),
+                     protocols(EXPLAIN_PROTOCOLS, "hbh"), trace, flight)
     explain.add_argument("--query", default=None,
                          help="one targeted question, NODE.TABLE[ADDRESS] "
                               "(e.g. '3.mft[11]': why does router 3 hold "
@@ -677,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
            scenario([*faults.SCENARIOS, "all"], "primary-cut"), timeline)
 
     replay = (scenario(list(churn.SCENARIOS), "iptv-primetime"),
-              protocols(), engine, workload)
+              protocols(churn.CHURN_PROTOCOLS), engine, workload)
     churn_target = target("churn", _run_churn, "replay a mass-membership "
                           "workload: control load, tree churn and "
                           "convergence latency per protocol", *replay,
@@ -699,6 +711,8 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     anything runs."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and not args.cache_dir:
+        parser.error("argument --resume: requires --cache-dir")
     # Rendering an archive records nothing, and 'faults --scenario all'
     # runs every scenario in parallel, untraced.
     if args.target in FIGURE_METRICS and args.load:

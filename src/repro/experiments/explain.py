@@ -32,6 +32,8 @@ from repro.topology.paper import FIG2_SOURCE, fig2_topology
 #: exercise join interception, tree regeneration and fusion.
 FIG2_SCENARIO = "fig2"
 FIG2_EXPLAIN_RECEIVERS = (11, 13)
+#: The protocols whose static drivers the Fig. 2 walkthrough explains.
+EXPLAIN_PROTOCOLS = ("hbh", "reunite")
 
 _QUERY_RE = re.compile(r"^\s*(?P<node>[^.]+)\.(?P<table>[\w-]+)"
                        r"\[(?P<address>[^\]]+)\]\s*$")
@@ -87,7 +89,8 @@ def _explain_static(protocol: str, query: Optional[str],
         source_mft = None  # resolved after convergence (lazily created)
     else:
         raise ExperimentError(
-            f"explain supports protocols hbh and reunite, not {protocol!r}"
+            f"explain supports protocols {', '.join(EXPLAIN_PROTOCOLS)}, "
+            f"not {protocol!r}"
         )
     driver.attach_tracer(tracer, flight=flight)
     for receiver in FIG2_EXPLAIN_RECEIVERS:

@@ -20,7 +20,6 @@ from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.link import Link
 from repro.netsim.node import Agent, Node
 from repro.netsim.network import Network
-from repro.netsim.trace import Trace, TraceRecord
 from repro.netsim.stats import LinkCounters, TransmissionTally
 
 __all__ = [
@@ -34,8 +33,6 @@ __all__ = [
     "Node",
     "Agent",
     "Network",
-    "Trace",
-    "TraceRecord",
     "LinkCounters",
     "TransmissionTally",
 ]

@@ -350,15 +350,9 @@ class FaultInjector:
     def _apply(self, event: FaultEvent) -> None:
         try:
             self._dispatch(event)
-        except SimulationError as exc:
+        except SimulationError:
             self.skipped.append(event)
             self.registry.inc(f"fault.skipped.{event.kind}")
-            trace = self.network.trace
-            if trace.enabled:
-                trace.record(
-                    self.network.simulator.now, "fault", "skip",
-                    f"{event.kind}: {exc}",
-                )
             return
         self.applied.append(event)
         self.registry.inc(f"fault.injected.{event.kind}")

@@ -3,9 +3,9 @@
 ``Network(topology)`` creates one :class:`~repro.netsim.node.Node` per
 topology vertex (with a unicast address), one
 :class:`~repro.netsim.link.Link` per physical link (delay = directed
-cost), a shared :class:`~repro.routing.tables.UnicastRouting` substrate,
-transmission counters and a trace.  Protocol agents are attached
-afterwards; :meth:`start` kicks off their periodic behaviour.
+cost), a shared :class:`~repro.routing.tables.UnicastRouting` substrate
+and transmission counters.  Protocol agents are attached afterwards;
+:meth:`start` kicks off their periodic behaviour.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from repro.netsim.link import Link
 from repro.netsim.node import Agent, Node
 from repro.netsim.packet import Packet, PacketKind
 from repro.netsim.stats import LinkCounters
-from repro.netsim.trace import Trace
 from repro.obs.causal import CausalTracer
-from repro.obs.flight import FlightRecorder
-from repro.obs.flow import DEFAULT_BUCKET, FlowTelemetry
+from repro.obs.flow import FlowTelemetry
 from repro.obs.registry import MetricsRegistry
-from repro.obs.timeline import ConvergenceMonitor, TreeTimeline
+from repro.obs.timeline import TreeTimeline
 from repro.routing.tables import shared_routing
 from repro.topology.model import NodeKind, Topology
 
@@ -36,9 +34,7 @@ class Network:
 
     def __init__(self, topology: Topology,
                  simulator: Optional[Simulator] = None,
-                 trace_enabled: bool = False,
-                 metrics: Optional[MetricsRegistry] = None,
-                 trace_maxlen: Optional[int] = None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         topology.validate()
         self.topology = topology
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -47,8 +43,8 @@ class Network:
             self.simulator.metrics = self.metrics
         self.routing = shared_routing(topology)
         self.counters = LinkCounters(registry=self.metrics)
-        self.trace = Trace(enabled=trace_enabled, maxlen=trace_maxlen,
-                           metrics=self.metrics)
+        # The three instruments below are attached by assignment: put
+        # an enabled one in place before the run starts.
         #: Causal span tracer (see :mod:`repro.obs.causal`), disabled by
         #: default: agents consult ``causal.enabled`` before spending
         #: anything on span bookkeeping.
@@ -160,7 +156,6 @@ class Network:
         # the next query) — no wholesale invalidation.
         self.topology.set_cost(a, b, self.FAILED_LINK_COST)
         self.topology.set_cost(b, a, self.FAILED_LINK_COST)
-        self.trace.record(self.simulator.now, a, "link-down", f"to {b}")
 
     def restore_link(self, a: NodeId, b: NodeId) -> None:
         """Bring a failed link back with its original costs."""
@@ -175,7 +170,6 @@ class Network:
         link.up = True
         self.topology.set_cost(a, b, cost_ab)
         self.topology.set_cost(b, a, cost_ba)
-        self.trace.record(self.simulator.now, a, "link-up", f"to {b}")
 
     def link_between(self, a: NodeId, b: NodeId) -> Link:
         """The live link joining ``a`` and ``b`` (fault plane and tests
@@ -205,8 +199,6 @@ class Network:
         self._crashed[node_id] = downed
         for agent in node.agents:
             agent.crash()
-        self.trace.record(self.simulator.now, node_id, "crash",
-                          f"links down to {downed}")
 
     def restart_router(self, node_id: NodeId) -> None:
         """Bring a crashed router back up (links restored, tables still
@@ -217,8 +209,6 @@ class Network:
             raise SimulationError(f"router {node_id} is not down") from None
         for neighbor in downed:
             self.restore_link(node_id, neighbor)
-        self.trace.record(self.simulator.now, node_id, "restart",
-                          f"links up to {downed}")
 
     def is_crashed(self, node_id: NodeId) -> bool:
         """Whether ``node_id`` is currently crashed."""
@@ -257,55 +247,10 @@ class Network:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def enable_causal_tracing(
-            self, maxlen: Optional[int] = 65536,
-            flight: Optional[FlightRecorder] = None) -> CausalTracer:
-        """Turn on span recording (optionally ring-bounded, optionally
-        feeding a per-channel flight recorder); returns the tracer."""
-        self.causal = CausalTracer(enabled=True, maxlen=maxlen,
-                                   recorder=flight)
-        return self.causal
-
-    def enable_timeline(self, maxlen: Optional[int] = 65536,
-                        monitor: Optional[ConvergenceMonitor] = None
-                        ) -> TreeTimeline:
-        """Turn on the tree-dynamics timeline (ring-bounded, optionally
-        feeding an online convergence monitor); returns the timeline.
-        Agents consult ``timeline.enabled`` before spending anything."""
-        self.timeline = TreeTimeline(enabled=True, maxlen=maxlen,
-                                     registry=self.metrics)
-        if monitor is not None:
-            self.timeline.attach_monitor(monitor)
-        return self.timeline
-
-    def enable_flow_telemetry(self, sample_every: int = 1,
-                              maxlen: Optional[int] = 65536,
-                              seed: int = 0,
-                              bucket: float = DEFAULT_BUCKET
-                              ) -> FlowTelemetry:
-        """Turn on data-plane flow telemetry (deterministically sampled
-        flow records + per-link utilization series feeding this
-        network's registry); returns the instrument.  The transmit and
-        delivery taps consult ``flow.enabled`` before spending
-        anything."""
-        self.flow = FlowTelemetry(enabled=True, sample_every=sample_every,
-                                  maxlen=maxlen, registry=self.metrics,
-                                  seed=seed, bucket=bucket)
-        return self.flow
-
     def _on_transmit(self, link: Link, src: NodeId, dst: NodeId,
                      packet: Packet) -> None:
         self.counters.record(src, dst, self.topology.cost(src, dst),
                              packet.kind)
-        # Fast-path rule (same as causal tracing below): one enabled
-        # check at the call site, so the f-string/Packet repr is never
-        # formatted on untraced runs — this line alone dominated the
-        # link.transmit micro-bench before it was guarded.
-        trace = self.trace
-        if trace.enabled:
-            trace.record(
-                self.simulator.now, src, "transmit", f"-> {dst}: {packet!r}"
-            )
         causal = self.causal
         if causal.enabled and packet.span_id is not None:
             causal.hop(packet.span_id, dst)

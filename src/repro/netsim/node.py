@@ -88,8 +88,7 @@ class Node:
         self.agents: List[Agent] = []
         #: Packets addressed here that no agent claimed (visible to tests).
         self.unclaimed: List[Packet] = []
-        #: Packets dropped for lack of a route (transient under
-        #: learned routing after failures).
+        #: Packets dropped for lack of a route to their destination.
         self.dropped_no_route = 0
 
     # ------------------------------------------------------------------
@@ -128,23 +127,12 @@ class Node:
             if agent.deliver(packet):
                 return
         self.unclaimed.append(packet)
-        # Fast-path rule: test `enabled` at the call site so the
-        # f-string (and the Packet repr it forces) is never built when
-        # tracing is off — repr formatting, not the ring append, is the
-        # measured cost.
-        trace = self.network.trace
-        if trace.enabled:
-            trace.record(
-                self.network.simulator.now, self.node_id, "sink",
-                f"unclaimed {packet!r}",
-            )
 
     def forward(self, packet: Packet) -> None:
         """Forward on the unicast next hop toward ``packet.dst``.
 
-        A destination with no current route (e.g. mid-reconvergence
-        after a link failure under learned routing) drops the packet,
-        exactly like a real router — soft state retries later.
+        A destination with no route drops the packet, exactly like a
+        real router — soft state retries later.
         """
         network = self.network
         destination_node = network.node_of(packet.dst)
@@ -154,12 +142,6 @@ class Node:
             )
         except RoutingError:
             self.dropped_no_route += 1
-            trace = network.trace
-            if trace.enabled:
-                trace.record(
-                    network.simulator.now, self.node_id, "drop",
-                    f"no route to {packet.dst}",
-                )
             return
         self.send_via(next_hop, packet)
 

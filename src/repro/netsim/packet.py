@@ -82,11 +82,11 @@ class Packet:
     # copy (readdressed) on the data-plane hot path, so they build the
     # copy with ``object.__new__`` + ``object.__setattr__`` instead of
     # ``dataclasses.replace`` — replace() re-enters the generated
-    # __init__ (and its default machinery), which profiles as the
-    # second-largest per-packet cost after trace formatting.  Packet
-    # ids stay eagerly drawn at the two identity-creating points
-    # (construction and readdressing) so uid numbering follows creation
-    # order deterministically — trace dumps rely on that.
+    # __init__ (and its default machinery), which profiles as a
+    # leading per-packet cost.  Packet ids stay eagerly drawn at the
+    # two identity-creating points (construction and readdressing) so
+    # uid numbering follows creation order deterministically — packet
+    # reprs rely on that.
 
     def readdressed(self, dst: Address, src: Optional[Address] = None) -> "Packet":
         """A modified copy with a new destination (and fresh uid).

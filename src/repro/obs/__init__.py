@@ -8,9 +8,6 @@ so that all protocols are measured by the same instruments:
   gauges and histograms (p50/p95/p99), labeled by channel ``<S,G>``,
   protocol and node.  HBH, REUNITE and the PIM baselines emit the
   *same* metric names, so benchmarks compare them through one registry.
-- :mod:`repro.obs.tracing` — JSONL export/import/diff for the
-  simulation :class:`~repro.netsim.trace.Trace`, so event-driven runs
-  can be archived, replayed and compared across code versions.
 - :mod:`repro.obs.profiling` — wall-clock ``@profiled`` spans forming
   a hierarchical timer tree, wired into the netsim engine loop, the
   Dijkstra/route-table builds and the experiment harness
@@ -78,12 +75,6 @@ from repro.obs.timeline import (
     read_events,
     write_events_jsonl,
 )
-from repro.obs.tracing import (
-    diff_records,
-    read_jsonl,
-    record_to_dict,
-    write_jsonl,
-)
 
 __all__ = [
     "LiveProgressView",
@@ -117,8 +108,4 @@ __all__ = [
     "event_from_dict",
     "read_events",
     "write_events_jsonl",
-    "diff_records",
-    "read_jsonl",
-    "record_to_dict",
-    "write_jsonl",
 ]

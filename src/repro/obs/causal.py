@@ -139,7 +139,7 @@ def _jsonable(value: Any) -> Any:
 
 def span_from_dict(raw: Dict[str, Any]) -> Span:
     """Rebuild a span from its JSONL projection (non-scalar ids come
-    back stringified, exactly like :mod:`repro.obs.tracing`)."""
+    back stringified: :func:`_jsonable` wrote their ``repr``)."""
     span = Span(
         span_id=raw["span"],
         trace_id=raw["trace"],

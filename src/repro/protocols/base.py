@@ -281,10 +281,8 @@ def register_protocol(name: str) -> Callable[[ProtocolFactory], ProtocolFactory]
     return decorator
 
 
-def build_protocol(name: str, topology: Topology, source: NodeId,
-                   routing: Optional[UnicastRouting] = None,
-                   **kwargs) -> MulticastProtocol:
-    """Instantiate a registered protocol by name."""
+def protocol_names() -> List[str]:
+    """Every name :func:`build_protocol` accepts, sorted."""
     # Importing the implementations registers them; deferred to avoid
     # circular imports at package-load time.
     import repro.protocols.reunite.protocol  # noqa: F401
@@ -292,11 +290,17 @@ def build_protocol(name: str, topology: Topology, source: NodeId,
     import repro.protocols.hbh_adapter  # noqa: F401
     import repro.protocols.mospf  # noqa: F401
 
-    try:
-        factory = PROTOCOL_REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(PROTOCOL_REGISTRY))
+    return sorted(PROTOCOL_REGISTRY)
+
+
+def build_protocol(name: str, topology: Topology, source: NodeId,
+                   routing: Optional[UnicastRouting] = None,
+                   **kwargs) -> MulticastProtocol:
+    """Instantiate a registered protocol by name."""
+    known = protocol_names()
+    if name not in known:
         raise ExperimentError(
-            f"unknown protocol {name!r} (known: {known})"
-        ) from None
-    return factory(topology, source, routing=routing, **kwargs)
+            f"unknown protocol {name!r} (known: {', '.join(known)})"
+        )
+    return PROTOCOL_REGISTRY[name](topology, source, routing=routing,
+                                   **kwargs)

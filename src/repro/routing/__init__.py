@@ -20,11 +20,6 @@ from repro.routing.analysis import (
     path_cost,
     reverse_path,
 )
-from repro.routing.distance_vector import (
-    DistanceVectorAgent,
-    DvRouting,
-    deploy_distance_vector,
-)
 
 __all__ = [
     "shortest_path_tree",
@@ -36,7 +31,4 @@ __all__ = [
     "measure_route_asymmetry",
     "path_cost",
     "reverse_path",
-    "DistanceVectorAgent",
-    "DvRouting",
-    "deploy_distance_vector",
 ]

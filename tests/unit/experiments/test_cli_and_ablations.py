@@ -101,11 +101,17 @@ class TestCli:
             ["report", "--figure", "fig99"],
             *([target, "--scenario", "bogus"]
               for target in ("faults", "explain", "timeline", "churn")),
+            ["fig7a", "--protocols", "hbh,bogus", "--runs", "1", "--quiet"],
+            ["churn", "--protocols", "pim-sm", "--scenario", "ci-small"],
+            ["flows", "--protocols", "mospf", "--scenario", "ci-small"],
+            ["explain", "--protocols", "pim-sm"],
+            ["fig7a", "--resume", "--runs", "1", "--quiet"],
         )
     ])
     def test_bad_value_rejected_before_running(self, argv, capsys):
-        """A zero count or an unknown figure or scenario name exits 2
-        at parse time, naming the flag, and nothing runs."""
+        """A zero count, an unknown figure or scenario name, a protocol
+        the target cannot run, or ``--resume`` without ``--cache-dir``
+        exits 2 at parse time, naming the flag, and nothing runs."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -175,21 +175,6 @@ class TestNetworkContainer:
         with pytest.raises(SimulationError):
             node.attach_link(1, node.links[1])
 
-    def test_trace_disabled_by_default(self, network):
-        packet = Packet(src=network.address_of(0),
-                        dst=network.address_of(1), payload="x")
-        network.node(0).emit(packet)
-        network.run()
-        assert len(network.trace) == 0
-
-    def test_trace_enabled_records_transmissions(self):
-        network = Network(line_topology(3), trace_enabled=True)
-        packet = Packet(src=network.address_of(0),
-                        dst=network.address_of(2), payload="x")
-        network.node(0).emit(packet)
-        network.run()
-        assert network.trace.count("transmit") == 2
-
     def test_repr(self, network):
         assert "nodes=4" in repr(network)
 

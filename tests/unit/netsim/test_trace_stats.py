@@ -1,104 +1,8 @@
-"""Unit tests for tracing and transmission counters."""
+"""Unit tests for transmission counters."""
 
 from repro.netsim.packet import PacketKind
 from repro.netsim.stats import LinkCounters
-from repro.netsim.trace import Trace, TraceRecord
 from repro.obs.registry import MetricsRegistry
-
-
-class TestTrace:
-    def test_records_when_enabled(self):
-        trace = Trace(enabled=True)
-        trace.record(1.0, 5, "join", "details")
-        assert len(trace) == 1
-        assert trace.records[0].node == 5
-
-    def test_noop_when_disabled(self):
-        trace = Trace(enabled=False)
-        trace.record(1.0, 5, "join")
-        assert len(trace) == 0
-
-    def test_matching_filters(self):
-        trace = Trace()
-        trace.record(1.0, 1, "join")
-        trace.record(2.0, 2, "join")
-        trace.record(3.0, 1, "tree")
-        assert trace.count("join") == 2
-        assert trace.count("join", node=1) == 1
-        assert [r.event for r in trace.matching(node=1)] == ["join", "tree"]
-
-    def test_clear(self):
-        trace = Trace()
-        trace.record(1.0, 1, "x")
-        trace.clear()
-        assert len(trace) == 0
-
-    def test_printer_callback(self):
-        lines = []
-        trace = Trace(printer=lines.append)
-        trace.record(1.0, 1, "x", "detail")
-        assert len(lines) == 1
-        assert "detail" in lines[0]
-
-    def test_record_str(self):
-        record = TraceRecord(1.5, 3, "join", "from r1")
-        text = str(record)
-        assert "node 3" in text and "join" in text
-
-    def test_iteration(self):
-        trace = Trace()
-        trace.record(1.0, 1, "a")
-        trace.record(2.0, 2, "b")
-        assert [r.event for r in trace] == ["a", "b"]
-
-
-class TestTraceRingBuffer:
-    """Regression tests for the unbounded-growth fix: with ``maxlen``
-    the trace is a ring buffer of the most recent records."""
-
-    def test_keeps_most_recent_records(self):
-        trace = Trace(maxlen=3)
-        for step in range(10):
-            trace.record(float(step), 1, f"e{step}")
-        assert len(trace) == 3
-        assert [r.event for r in trace] == ["e7", "e8", "e9"]
-
-    def test_evictions_are_counted(self):
-        trace = Trace(maxlen=3)
-        for step in range(10):
-            trace.record(float(step), 1, "x")
-        assert trace.dropped == 7
-
-    def test_no_drops_below_capacity(self):
-        trace = Trace(maxlen=5)
-        trace.record(1.0, 1, "x")
-        assert trace.dropped == 0
-
-    def test_unbounded_by_default(self):
-        trace = Trace()
-        assert trace.maxlen is None
-        for step in range(1000):
-            trace.record(float(step), 1, "x")
-        assert len(trace) == 1000
-        assert trace.dropped == 0
-
-    def test_clear_resets_eviction_count(self):
-        trace = Trace(maxlen=1)
-        trace.record(1.0, 1, "a")
-        trace.record(2.0, 1, "b")
-        assert trace.dropped == 1
-        trace.clear()
-        assert trace.dropped == 0
-        assert len(trace) == 0
-
-    def test_filtered_events_do_not_evict(self):
-        trace = Trace(maxlen=2, only_events=["join"])
-        trace.record(1.0, 1, "join")
-        trace.record(2.0, 1, "tree")  # filtered, must not push out 'join'
-        trace.record(3.0, 1, "tree")
-        trace.record(4.0, 1, "join")
-        assert [r.event for r in trace] == ["join", "join"]
-        assert trace.dropped == 0
 
 
 class TestLinkCounters:
