@@ -12,12 +12,18 @@ The library hands out addresses from two default pools:
 - unicast node addresses from ``10.0.0.0/8`` (one per simulated node),
 - class-D group addresses from ``232.0.0.0/8`` (the SSM range,
   fitting the paper's source-specific service model).
+
+Every type here keys the per-hop tables, so each computes its hash once,
+at construction, into a ``_hash`` slot that takes no part in equality,
+ordering or ``repr``.  It must equal the hash of the tuple of fields
+(what the dataclass-generated ``__hash__`` returns): set and dict
+iteration orders, and so the archived outputs, depend on it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.errors import AddressError
@@ -60,6 +66,7 @@ class Address:
     """
 
     value: int
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.value < 2**32:
@@ -69,6 +76,10 @@ class Address:
                 f"{_format(self.value)} is a class-D address; "
                 "use GroupAddress for multicast groups"
             )
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "Address":
@@ -87,6 +98,7 @@ class GroupAddress:
     """A class-D (multicast) IPv4-like address."""
 
     value: int
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not CLASS_D_FIRST <= self.value < CLASS_D_LAST:
@@ -94,6 +106,10 @@ class GroupAddress:
                 f"{_format(self.value)} is not a class-D address "
                 "(must be in 224.0.0.0 - 239.255.255.255)"
             )
+        object.__setattr__(self, "_hash", hash((self.value,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def parse(cls, text: str) -> "GroupAddress":
@@ -124,6 +140,13 @@ class Channel:
 
     source: Address
     group: GroupAddress
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.source, self.group)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"<{self.source}, {self.group}>"
@@ -139,10 +162,15 @@ class ReuniteChannel:
 
     source: Address
     port: int
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.port < 2**16:
             raise AddressError(f"port out of range: {self.port}")
+        object.__setattr__(self, "_hash", hash((self.source, self.port)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return f"<{self.source}, {self.port}>"

@@ -21,9 +21,12 @@ computed payload is journaled and cached as it completes, so progress
 is never lost to a crash.
 
 Failures are retried up to ``retries`` times (``KeyboardInterrupt`` and
-``SystemExit`` excepted — a Ctrl-C must kill the sweep, not retry it);
-exhaustion surfaces a structured :class:`ExecError` naming the exact
-cell so the failure reproduces with a single serial command.
+``SystemExit`` excepted — a Ctrl-C must kill the sweep, not retry it).
+A :class:`~repro.errors.ReproError` is not retried either: the program
+raises it about its own inputs, so a seeded cell would raise it again.
+Exhaustion, or such an error, surfaces a structured :class:`ExecError`
+naming the exact cell so the failure reproduces with a single serial
+command.
 
 A :class:`~repro.obs.bus.TelemetryBus` (optional) receives live
 per-cell events — workers stream ``cell_started``/``cell_finished``
@@ -338,8 +341,9 @@ class SweepExecutor:
 
     def _retry_or_raise(self, task: CellTask, attempts: int,
                         exc: Exception) -> None:
-        """Count one failure; raise :class:`ExecError` past the budget."""
-        if attempts > self.retries:
+        """Count one failure; raise :class:`ExecError` past the budget,
+        or at once for a deterministic :class:`ReproError`."""
+        if attempts > self.retries or isinstance(exc, ReproError):
             raise ExecError(
                 f"cell failed after {attempts} attempt(s): {task.describe or task.key}"
                 f" ({type(exc).__name__}: {exc})",

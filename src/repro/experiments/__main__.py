@@ -600,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default=default,
                       help=f"comma-separated protocol list overriding the "
                            f"default, from {', '.join(known)} ('explain' "
-                           f"renders the first)")
+                           f"takes one, and hbh on a fault scenario)")
 
     def out(default: Optional[str]) -> argparse.ArgumentParser:
         rev = "BENCH_<git rev>.json"
@@ -713,6 +713,15 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if getattr(args, "resume", False) and not args.cache_dir:
         parser.error("argument --resume: requires --cache-dir")
+    if args.target == "explain":
+        from repro.experiments.explain import explain_protocols
+
+        known = explain_protocols(args.scenario)
+        if len(args.protocols) > 1 or args.protocols[0] not in known:
+            parser.error(f"argument --protocols: 'explain' on "
+                         f"{args.scenario!r} renders one protocol from "
+                         f"({', '.join(known)}), got "
+                         f"{','.join(args.protocols)!r}")
     # Rendering an archive records nothing, and 'faults --scenario all'
     # runs every scenario in parallel, untraced.
     if args.target in FIGURE_METRICS and args.load:

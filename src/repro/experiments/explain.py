@@ -35,6 +35,13 @@ FIG2_EXPLAIN_RECEIVERS = (11, 13)
 #: The protocols whose static drivers the Fig. 2 walkthrough explains.
 EXPLAIN_PROTOCOLS = ("hbh", "reunite")
 
+
+def explain_protocols(scenario: str) -> Tuple[str, ...]:
+    """The protocols ``explain`` can render on ``scenario``: a fault
+    scenario runs only HBH's event-plane channel."""
+    return EXPLAIN_PROTOCOLS if scenario == FIG2_SCENARIO else ("hbh",)
+
+
 _QUERY_RE = re.compile(r"^\s*(?P<node>[^.]+)\.(?P<table>[\w-]+)"
                        r"\[(?P<address>[^\]]+)\]\s*$")
 
@@ -80,18 +87,13 @@ def _explain_static(protocol: str, query: Optional[str],
         driver = StaticHbh(topology, FIG2_SOURCE, routing=routing)
         source_table = "source-mft"
         source_mft = driver.source_mft
-    elif protocol == "reunite":
+    else:
         from repro.protocols.reunite.static_driver import StaticReunite
         from repro.verify import reunite_soft_state as soft_state
 
         driver = StaticReunite(topology, FIG2_SOURCE, routing=routing)
         source_table = "mft"
         source_mft = None  # resolved after convergence (lazily created)
-    else:
-        raise ExperimentError(
-            f"explain supports protocols {', '.join(EXPLAIN_PROTOCOLS)}, "
-            f"not {protocol!r}"
-        )
     driver.attach_tracer(tracer, flight=flight)
     for receiver in FIG2_EXPLAIN_RECEIVERS:
         driver.add_receiver(receiver)
@@ -225,6 +227,12 @@ def run_explain(scenario: str = FIG2_SCENARIO, protocol: str = "hbh",
     Callers may pass their own ``tracer``/``flight`` to archive the raw
     spans and ring afterwards (the CLI's ``--trace-out``/``--flight-out``).
     """
+    known = explain_protocols(scenario)
+    if protocol not in known:
+        raise ExperimentError(
+            f"explain supports protocols {', '.join(known)} on "
+            f"{scenario!r}, not {protocol!r}"
+        )
     tracer = tracer if tracer is not None else CausalTracer()
     flight = flight if flight is not None else FlightRecorder()
     if scenario == FIG2_SCENARIO:

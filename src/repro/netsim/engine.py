@@ -8,16 +8,14 @@ events in order.  Determinism rules:
 - cancelled events stay queued but are skipped (lazy deletion), so
   cancellation is O(1).
 
-The queue is a **bucketed calendar queue** tuned to the paper's
-U[1, 10] link-delay distribution: near-future events land in per-time-
-slice buckets (a dict keyed by ``floor(time / width)``), and only the
-bucket currently being drained is kept heap-ordered.  Timers far
-beyond the calendar horizon (soft-state t1/t2 lifetimes, protocol
-periods) fall back to a single binary heap, exactly the classic
-"overflow bucket" of calendar-queue designs.  Every event still fires
-in strict ``(time, seq)`` order, so the firing sequence is bit-for-bit
-identical to the previous pure-heap implementation — the property the
-engine's Hypothesis suite pins against a reference heap model.
+The queue is one binary heap of ``(time, seq, handle)`` tuples.  The
+sequence number is unique, so every comparison is settled by the
+tuple's first two items, inside the C heap code, and never reaches the
+handle.  That made it about twice as fast per event as the bucketed
+calendar queue it replaced, which ordered its active bucket through a
+Python-level ``__lt__`` (docs/architecture.md has the measurements).
+The engine's Hypothesis suite checks the firing order against a
+reference heap model.
 
 The engine knows nothing about networks; links, nodes and protocol
 agents are layered on top.
@@ -25,22 +23,12 @@ agents are layered on top.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ScheduleInPastError, SimulationError
 from repro.obs.profiling import PROFILER
 from repro.obs.registry import MetricsRegistry
-
-#: Width of one calendar bucket, in virtual-time units.  One time unit
-#: matches the smallest link delay the paper's topologies draw, so a
-#: typical in-flight packet population spreads over ~10 buckets.
-BUCKET_WIDTH = 1.0
-
-#: How many bucket widths ahead of ``now`` the calendar covers.  An
-#: event scheduled further out goes to the far-future heap instead of
-#: materializing a (probably lonely) bucket.
-CALENDAR_HORIZON_BUCKETS = 64
 
 
 class EventHandle:
@@ -50,42 +38,24 @@ class EventHandle:
 
     def __init__(self, time: float, seq: int,
                  callback: Callable[..., None], args: Tuple[Any, ...],
-                 owner: Optional["Simulator"] = None) -> None:
+                 owner: "Simulator") -> None:
         self.time = time
         self._seq = seq
         self._callback: Optional[Callable[..., None]] = callback
         self._args = args
         self._owner = owner
 
-    def _consume(self) -> None:
-        """Drop the callback exactly once, keeping the owner's live
-        count in step (both cancellation and firing come through here)."""
-        self._callback = None
-        self._args = ()
-        if self._owner is not None:
-            self._owner._live -= 1
-
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
         if self._callback is not None:
-            self._consume()
+            self._callback = None
+            self._args = ()
+            self._owner._live -= 1
 
     @property
     def cancelled(self) -> bool:
         """Whether :meth:`cancel` was called (or the event already ran)."""
         return self._callback is None
-
-    def _fire(self) -> None:
-        callback = self._callback
-        if callback is None:
-            return
-        args = self._args
-        # Mark consumed before running so re-entrant cancels are no-ops.
-        self._consume()
-        callback(*args)
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self._seq) < (other.time, other._seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -102,39 +72,13 @@ class Simulator:
         sim.run(until=1000.0)
     """
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None,
-                 bucket_width: float = BUCKET_WIDTH,
-                 horizon_buckets: int = CALENDAR_HORIZON_BUCKETS) -> None:
-        if bucket_width <= 0:
-            raise SimulationError(
-                f"bucket width must be positive, got {bucket_width}"
-            )
-        if horizon_buckets < 1:
-            raise SimulationError(
-                f"calendar horizon must be >= 1 bucket, got {horizon_buckets}"
-            )
+    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
         self._now = 0.0
-        #: Calendar: bucket index (floor(time / width)) -> event list.
-        #: Only the *active* bucket is heap-ordered; the rest stay in
-        #: append order until they become the minimum.
-        self._buckets: Dict[int, List[EventHandle]] = {}
-        #: Min-heap of bucket indices with possible stale duplicates.
-        self._bucket_idx: List[int] = []
-        #: Bucket indices whose lists are already heap-ordered (an
-        #: active bucket demoted by an out-of-order schedule stays
-        #: heapified, so reactivating it skips the heapify).
-        self._heapified: Set[int] = set()
-        #: The bucket currently holding the queue minimum, drained in
-        #: (time, seq) heap order.  None between activations.
-        self._active: Optional[List[EventHandle]] = None
-        self._active_idx: Optional[int] = None
-        #: Far-future fallback: one plain heap for events beyond the
-        #: calendar horizon at their schedule time.
-        self._far: List[EventHandle] = []
-        self._inv_width = 1.0 / bucket_width
-        self._far_start = bucket_width * horizon_buckets
+        #: Min-heap of ``(time, seq, handle)``; cancelled handles stay
+        #: until they reach the head.
+        self._queue: List[Tuple[float, int, EventHandle]] = []
         #: Queued, non-cancelled events — maintained incrementally so
-        #: :attr:`pending` is O(1) despite the lazy-deletion buckets.
+        #: :attr:`pending` is O(1) despite lazy deletion.
         self._live = 0
         #: Next sequence number.  A plain int (not itertools.count) so
         #: the link layer's batched drains can check "has anything been
@@ -157,117 +101,29 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` from now."""
         if delay < 0:
             raise ScheduleInPastError(f"negative delay {delay}")
-        return self.schedule_at(self._now + delay, callback, *args)
+        # schedule_at's body, inlined: nearly every event is scheduled
+        # here, and the saved call is about 4% of a fault-storm run.
+        time = self._now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args, self)
+        self._live += 1
+        heappush(self._queue, (time, seq, handle))
+        return handle
 
     def schedule_at(self, time: float, callback: Callable[..., None],
                     *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute virtual time ``time``."""
-        now = self._now
-        if time < now:
+        if time < self._now:
             raise ScheduleInPastError(
-                f"cannot schedule at {time}, now is {now}"
+                f"cannot schedule at {time}, now is {self._now}"
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, owner=self)
+        handle = EventHandle(time, seq, callback, args, self)
         self._live += 1
-        if time - now >= self._far_start:
-            heappush(self._far, handle)
-            return handle
-        idx = int(time * self._inv_width)
-        if idx == self._active_idx:
-            heappush(self._active, handle)  # type: ignore[arg-type]
-            return handle
-        if self._active_idx is None and not self._buckets:
-            # Empty calendar: the new event is trivially the minimum, so
-            # it becomes the active bucket with no dict/index traffic.
-            # This keeps sparse timer chains (one pending event at a
-            # time) as cheap as the old bare heap.
-            self._active = [handle]
-            self._active_idx = idx
-            return handle
-        bucket = self._buckets.get(idx)
-        if bucket is None:
-            self._buckets[idx] = [handle]
-            heappush(self._bucket_idx, idx)
-        elif idx in self._heapified:
-            # A demoted ex-active bucket stays heap-ordered so its
-            # reactivation can skip the heapify — keep the invariant.
-            heappush(bucket, handle)
-        else:
-            bucket.append(handle)
+        heappush(self._queue, (time, seq, handle))
         return handle
-
-    # ------------------------------------------------------------------
-    # Queue head maintenance
-    # ------------------------------------------------------------------
-    def _peek(self) -> Optional[EventHandle]:
-        """The earliest pending (non-cancelled) event, without removing
-        it.  Purges cancelled heads and advances the active bucket as a
-        side effect (amortized against the original schedules)."""
-        while True:
-            active = self._active
-            if active is not None:
-                while active and active[0]._callback is None:
-                    heappop(active)
-                if not active:
-                    self._buckets.pop(self._active_idx, None)
-                    self._heapified.discard(self._active_idx)
-                    self._active = None
-                    self._active_idx = None
-                    active = None
-            bucket_idx = self._bucket_idx
-            while bucket_idx:
-                idx = bucket_idx[0]
-                if idx not in self._buckets or idx == self._active_idx:
-                    heappop(bucket_idx)  # stale (emptied or re-activated)
-                    continue
-                break
-            if bucket_idx and (self._active_idx is None
-                               or bucket_idx[0] < self._active_idx):
-                # A non-active bucket holds the calendar minimum —
-                # normally the next slice after a drain, rarely an
-                # out-of-order schedule after run(until=...).  Demote
-                # the current active bucket (already heap-ordered) and
-                # activate the smaller one.
-                idx = heappop(bucket_idx)
-                if self._active is not None:
-                    # Re-register the demoted bucket (a fast-path active
-                    # bucket was never entered into the calendar dict).
-                    self._buckets[self._active_idx] = self._active  # type: ignore[index]
-                    heappush(bucket_idx, self._active_idx)  # type: ignore[arg-type]
-                    self._heapified.add(self._active_idx)  # type: ignore[arg-type]
-                bucket = self._buckets[idx]
-                if idx not in self._heapified:
-                    heapify(bucket)
-                    self._heapified.add(idx)
-                self._active = bucket
-                self._active_idx = idx
-                continue  # purge the freshly activated bucket's head
-            far = self._far
-            while far and far[0]._callback is None:
-                heappop(far)
-            head = self._active[0] if self._active else None
-            if far and (head is None or far[0] < head):
-                return far[0]
-            return head
-
-    def _pop(self, head: EventHandle) -> None:
-        """Remove ``head`` (the handle :meth:`_peek` just returned)."""
-        far = self._far
-        if far and far[0] is head:
-            heappop(far)
-            return
-        active = self._active
-        heappop(active)  # type: ignore[arg-type]
-        if not active:
-            # Retire the drained bucket eagerly so an event fired right
-            # now can take the empty-calendar fast path when it
-            # schedules its successor (the dominant timer-chain shape).
-            self._buckets.pop(self._active_idx, None)
-            self._heapified.discard(self._active_idx)
-            self._active = None
-            self._active_idx = None
 
     def run(self, until: Optional[float] = None,
             max_events: Optional[int] = None) -> int:
@@ -288,49 +144,27 @@ class Simulator:
         self._running = True
         self._stopped = False
         executed = 0
-        buckets = self._buckets
-        heapified = self._heapified
+        queue = self._queue
         try:
-            while not self._stopped:
+            while queue and not self._stopped:
                 if max_events is not None and executed >= max_events:
                     break
-                # Common case, inlined to dodge two function calls per
-                # event: the active bucket provably holds the queue
-                # minimum — every other bucket sits in a later time
-                # slice and the far heap's head is later too.  Ties and
-                # anything subtler drop to _peek(), which is always
-                # correct, just slower.
-                active = self._active
-                if active:
-                    bucket_idx = self._bucket_idx
-                    if not bucket_idx or bucket_idx[0] > self._active_idx:
-                        head = active[0]
-                        far = self._far
-                        if not far or head.time < far[0].time:
-                            if head._callback is None:
-                                heappop(active)
-                                continue
-                            if until is not None and head.time > until:
-                                break
-                            heappop(active)
-                            if not active:
-                                buckets.pop(self._active_idx, None)
-                                heapified.discard(self._active_idx)
-                                self._active = None
-                                self._active_idx = None
-                            self._now = head.time
-                            head._fire()
-                            executed += 1
-                            self.events_executed += 1
-                            continue
-                head = self._peek()
-                if head is None:
+                time, _, head = queue[0]
+                callback = head._callback
+                if callback is None:
+                    heappop(queue)
+                    continue
+                if until is not None and time > until:
                     break
-                if until is not None and head.time > until:
-                    break
-                self._pop(head)
-                self._now = head.time
-                head._fire()
+                heappop(queue)
+                self._now = time
+                # Consume before running so re-entrant cancels are
+                # no-ops (the handle's owner is this simulator).
+                args = head._args
+                head._callback = None
+                head._args = ()
+                self._live -= 1
+                callback(*args)
                 executed += 1
                 self.events_executed += 1
         finally:
@@ -354,19 +188,18 @@ class Simulator:
     def pending(self) -> int:
         """Number of queued, non-cancelled events.  O(1): a live counter
         is maintained on schedule/cancel/fire, so hot loops may poll it
-        freely despite the lazy-deletion buckets."""
+        freely despite lazy deletion."""
         return self._live
 
     @property
     def next_event_time(self) -> Optional[float]:
-        """Virtual time of the earliest pending event, if any.
-
-        Cancelled heads are purged on the way (amortised against their
-        original scheduling), so this costs a calendar peek rather than
-        a full sort of the queue.
-        """
-        head = self._peek()
-        return head.time if head is not None else None
+        """Virtual time of the earliest pending event, if any.  Purges
+        cancelled heads on the way (amortised against their original
+        scheduling)."""
+        queue = self._queue
+        while queue and queue[0][2]._callback is None:
+            heappop(queue)
+        return queue[0][0] if queue else None
 
     def __repr__(self) -> str:
         return f"Simulator(now={self._now}, pending={self.pending})"

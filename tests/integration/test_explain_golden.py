@@ -70,6 +70,13 @@ class TestQueries:
         with pytest.raises(ExperimentError, match="supports protocols"):
             run_explain(protocol="pim-sm")
 
+    def test_fault_scenario_rejects_other_protocols(self):
+        """A fault scenario runs only HBH's event-plane channel, so
+        asking it for REUNITE must not render an HBH explanation."""
+        with pytest.raises(ExperimentError,
+                           match="protocols hbh on 'primary-cut'"):
+            run_explain(scenario="primary-cut", protocol="reunite")
+
     def test_parse_query_rejects_garbage(self):
         assert parse_query(" 3.mft[11] ") == ("3", "mft", "11")
         with pytest.raises(ExperimentError, match="bad --query"):

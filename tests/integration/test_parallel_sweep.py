@@ -7,12 +7,14 @@ sweep without executing anything — again into that same result.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 import repro.exec.sweep as sweep_mod
+from repro.exec.executor import ExecError
 from repro.exec.worker import execute_cell
-from repro.experiments.config import SweepConfig
+from repro.experiments.config import FIGURE_CONFIGS, SweepConfig
 from repro.experiments.harness import run_sweep
 from repro.experiments.storage import result_from_dict, result_to_dict
 
@@ -134,8 +136,6 @@ class TestKillAndResume:
         assert canonical_json(resumed) == canonical_json(serial_reference)
 
     def test_resume_without_cache_dir_is_rejected(self):
-        from repro.exec.executor import ExecError
-
         with pytest.raises(ExecError):
             run_sweep(SMALL, resume=True)
 
@@ -158,3 +158,16 @@ class TestExecMetrics:
         # Everything else survives canonicalization.
         assert {name for name in full["metrics"]
                 if not name.startswith("exec.")} == set(canonical["metrics"])
+
+
+class TestDeterministicCellErrors:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unknown_protocol_fails_at_first_attempt(self, jobs):
+        """An ``ExperimentError`` from a cell is not retried: a seeded
+        cell would raise it again on every attempt."""
+        config = replace(FIGURE_CONFIGS["fig7a"], runs=1,
+                         protocols=("hbh", "bogus"))
+        with pytest.raises(ExecError) as info:
+            run_sweep(config, jobs=jobs)
+        assert info.value.attempts == 1
+        assert "unknown protocol 'bogus'" in str(info.value)

@@ -1,18 +1,17 @@
-"""Differential suite: the calendar-queue engine vs a reference heap.
+"""Differential suite: the engine's event queue vs a reference heap.
 
-The engine promises its bucketed calendar queue is *observationally
-identical* to the old single-binary-heap scheduler: every event fires
-at the same virtual time, in the same ``(time, seq)`` order — equal
-times resolve FIFO — with the same lazy-cancellation and
-``ScheduleInPastError`` semantics.  The determinism of every archived
-sweep rests on that equivalence, so it is pinned here against a
-minimal reference implementation rather than trusted by review.
+The engine promises its queue of ``(time, seq, handle)`` tuples is
+*observationally identical* to a plain heap of handles ordered by
+``(time, seq)``: every event fires at the same virtual time, in the
+same order — equal times resolve FIFO — with the same lazy-cancellation
+and ``ScheduleInPastError`` semantics.  The determinism of every
+archived sweep rests on that equivalence, so it is pinned here against
+a minimal reference implementation rather than trusted by review.
 
-The generated programs deliberately stress the calendar machinery:
-equal-time collisions, re-entrant schedules landing in the active
-bucket (delay 0), events beyond the far-future horizon, cancellations
-from inside callbacks, and ``run(until=...)`` splits that force bucket
-demotion/reactivation.
+The generated programs deliberately stress the queue: equal-time
+collisions, re-entrant schedules at the firing instant (delay 0),
+events far beyond the rest, cancellations from inside callbacks, and
+``run(until=...)`` splits that stop a drain part-way and resume it.
 """
 
 from heapq import heappop, heappush
@@ -29,7 +28,7 @@ COMMON = settings(max_examples=120, deadline=None,
 
 
 # ----------------------------------------------------------------------
-# Reference model: the pre-calendar engine, reduced to its semantics
+# Reference model: the engine reduced to its semantics
 # ----------------------------------------------------------------------
 class _RefHandle:
     __slots__ = ("time", "seq", "callback", "args")
@@ -50,7 +49,7 @@ class _RefHandle:
 
 class ReferenceSimulator:
     """One binary heap, FIFO ties via a sequence number, lazy
-    cancellation — the old event queue stripped of everything but its
+    cancellation — the event queue stripped of everything but its
     observable behaviour."""
 
     def __init__(self):
@@ -100,16 +99,15 @@ class ReferenceSimulator:
 # Program generation
 # ----------------------------------------------------------------------
 #: Root times: a grid coarse enough to force equal-time collisions,
-#: straddling the calendar horizon (64 buckets of width 1.0) so some
-#: events land in the far-future heap and later migrate back.
+#: spread from near-simultaneous to hundreds of time units apart.
 _TIMES = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 2.5, 63.5, 64.0, 64.5,
                      100.0, 500.0]),
     st.integers(0, 300).map(lambda n: n * 0.5),
 )
 
-#: Child delays relative to the parent's firing time: 0.0 re-enters
-#: the active bucket mid-drain, 70.0/200.0 cross the horizon.
+#: Child delays relative to the parent's firing time: 0.0 lands at
+#: the firing instant mid-drain, 70.0/200.0 far beyond it.
 _CHILD_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 10.0, 70.0, 200.0])
 
 
@@ -152,9 +150,9 @@ def _execute(sim, program):
         handles[("root", idx)] = sim.schedule_at(time, fire, ("root", idx))
     executed = 0
     if split is not None:
-        # Partial drain first: reactivating the calendar after an
-        # until-bounded stop exercises bucket demotion and the
-        # out-of-order schedule paths.
+        # Partial drain first: resuming after an until-bounded stop
+        # fires events scheduled before the stop alongside those
+        # scheduled after it.
         executed += sim.run(until=split)
     executed += sim.run()
     return log, executed, sim.now
@@ -175,7 +173,7 @@ class TestCalendarMatchesHeap:
     @given(st.lists(_TIMES, min_size=1, max_size=30))
     def test_equal_times_fire_fifo(self, times):
         """Events at one instant fire in scheduling order, whatever
-        interleaving of near/far bucket placement produced them."""
+        order of times they were scheduled in."""
         simulator = Simulator()
         log = []
         for order, time in enumerate(times):

@@ -60,6 +60,31 @@ class TestSerialBackend:
         assert "n=2 run=1 seed=99" in str(info.value)
         assert info.value.describe == "config=small n=2 run=1 seed=99"
 
+    def test_repro_error_fails_at_first_attempt(self):
+        """The program's own errors are deterministic for a seeded
+        cell, so retrying one only repeats it."""
+        from repro.errors import ExperimentError
+        from repro.obs.bus import TelemetryBus
+
+        calls = {"n": 0}
+
+        def misconfigured():
+            calls["n"] += 1
+            raise ExperimentError("unknown protocol 'bogus'")
+
+        metrics = MetricsRegistry()
+        bus = TelemetryBus()
+        executor = SweepExecutor(jobs=1, retries=5, metrics=metrics,
+                                 bus=bus)
+        with pytest.raises(ExecError) as info:
+            executor.map_cells([CellTask(key="bad", fn=misconfigured)])
+        assert info.value.attempts == 1
+        assert "ExperimentError" in str(info.value)
+        assert calls["n"] == 1
+        assert executor.stats.retries == 0
+        assert "exec.retries" not in metrics.names()
+        assert bus.retries == 0
+
     def test_keyboard_interrupt_is_not_retried(self):
         calls = {"n": 0}
 

@@ -105,13 +105,17 @@ class TestCli:
             ["churn", "--protocols", "pim-sm", "--scenario", "ci-small"],
             ["flows", "--protocols", "mospf", "--scenario", "ci-small"],
             ["explain", "--protocols", "pim-sm"],
+            ["explain", "--protocols", "reunite", "--scenario",
+             "primary-cut"],
+            ["explain", "--protocols", "hbh,reunite"],
             ["fig7a", "--resume", "--runs", "1", "--quiet"],
         )
     ])
     def test_bad_value_rejected_before_running(self, argv, capsys):
         """A zero count, an unknown figure or scenario name, a protocol
-        the target cannot run, or ``--resume`` without ``--cache-dir``
-        exits 2 at parse time, naming the flag, and nothing runs."""
+        the target cannot run (or more than one, on explain), or
+        ``--resume`` without ``--cache-dir`` exits 2 at parse time,
+        naming the flag, and nothing runs."""
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -1,5 +1,9 @@
 """Unit tests for the address model."""
 
+import dataclasses
+import pickle
+import random
+
 import pytest
 
 from repro.addressing import (
@@ -102,6 +106,97 @@ class TestReuniteChannel:
         for port in (0, -1, 65536):
             with pytest.raises(AddressError):
                 ReuniteChannel(source, port)
+
+
+def _source(text="10.0.0.1"):
+    return Address.parse(text)
+
+
+def _group(text="232.1.0.1"):
+    return GroupAddress.parse(text)
+
+
+#: Per type: a function making (low, high) instances, the tuple the
+#: dataclass-generated ``__hash__`` hashed, and the expected repr/str.
+STORED_HASH_CASES = {
+    "Address": (
+        lambda: (_source("10.0.0.1"), _source("10.0.0.2")),
+        lambda a: (a.value,),
+        "Address('10.0.0.1')", "10.0.0.1",
+    ),
+    "GroupAddress": (
+        lambda: (_group("232.1.0.1"), _group("232.1.0.2")),
+        lambda g: (g.value,),
+        "GroupAddress('232.1.0.1')", "232.1.0.1",
+    ),
+    "Channel": (
+        lambda: (Channel(_source(), _group()),
+                 Channel(_source(), _group("232.1.0.2"))),
+        lambda c: (c.source, c.group),
+        "Channel(source=Address('10.0.0.1'), "
+        "group=GroupAddress('232.1.0.1'))",
+        "<10.0.0.1, 232.1.0.1>",
+    ),
+    "ReuniteChannel": (
+        lambda: (ReuniteChannel(_source(), 5000),
+                 ReuniteChannel(_source(), 5001)),
+        lambda r: (r.source, r.port),
+        "ReuniteChannel(source=Address('10.0.0.1'), port=5000)",
+        "<10.0.0.1, 5000>",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STORED_HASH_CASES))
+class TestStoredHash:
+    """Each type computes its hash once, at construction.  The stored
+    value must be the one the generated ``__hash__`` returns, so that
+    sets and dicts keep their iteration order, and the stored slot must
+    not show in equality, ordering, repr or str."""
+
+    def test_hash_is_the_generated_formula(self, name):
+        build, fields, _, _ = STORED_HASH_CASES[name]
+        for item in build():
+            assert hash(item) == hash(fields(item))
+
+    def test_equality_order_repr_and_str_unchanged(self, name):
+        build, _, want_repr, want_str = STORED_HASH_CASES[name]
+        low, high = build()
+        again, _ = build()
+        assert low == again and low is not again
+        assert low != high
+        assert low < high and not high < low
+        assert sorted([high, low]) == [low, high]
+        assert repr(low) == want_repr
+        assert str(low) == want_str
+
+    def test_pickle_round_trip_keeps_equality_and_hash(self, name):
+        build, _, _, _ = STORED_HASH_CASES[name]
+        for item in build():
+            copy = pickle.loads(pickle.dumps(item))
+            assert copy == item
+            assert hash(copy) == hash(item)
+
+    def test_replace_recomputes_the_hash(self, name):
+        build, fields, _, _ = STORED_HASH_CASES[name]
+        low, high = build()
+        changed = {field.name: getattr(high, field.name)
+                   for field in dataclasses.fields(high) if field.init}
+        replaced = dataclasses.replace(low, **changed)
+        assert replaced == high
+        assert hash(replaced) == hash(high) == hash(fields(high))
+
+
+def test_address_set_iterates_in_generated_hash_order():
+    """Equal hashes and equal insertion order give equal iteration
+    order, so every set of addresses iterates as it would under the
+    generated hash."""
+    rng = random.Random(27)
+    values = rng.sample(range(10 << 24, 11 << 24), 200)
+    addresses = {Address(value) for value in values}
+    tuples = {(value,) for value in values}
+    assert [address.value for address in addresses] == [
+        value for (value,) in tuples]
 
 
 class TestAddressAllocator:
