@@ -32,8 +32,8 @@ so that all protocols are measured by the same instruments:
   snapshots) to the parent, which renders live progress and keeps an
   in-flight merged registry.
 - :mod:`repro.obs.export` — OpenMetrics text exposition for any
-  registry, plus the stdlib ``/metrics`` scrape endpoint behind the
-  CLI's ``--metrics-port``.
+  registry, plus the ``/metrics`` endpoint behind the CLI's
+  ``--metrics-port``; not imported here, as it loads ``http.server``.
 - :mod:`repro.obs.bench` — the timed benchmark suite and persisted
   ``BENCH_<rev>.json`` baselines with the regression gate behind
   ``python -m repro.experiments bench --check``.
@@ -53,11 +53,6 @@ from repro.obs.causal import (
     span_from_dict,
 )
 from repro.obs.explain import Explainer, Explanation
-from repro.obs.export import (
-    OPENMETRICS_CONTENT_TYPE,
-    render_openmetrics,
-    start_metrics_server,
-)
 from repro.obs.flight import FlightEntry, FlightRecorder
 from repro.obs.profiling import PROFILER, Profiler, SpanStats, profiled
 from repro.obs.registry import (
@@ -80,9 +75,6 @@ __all__ = [
     "LiveProgressView",
     "QueueListener",
     "TelemetryBus",
-    "OPENMETRICS_CONTENT_TYPE",
-    "render_openmetrics",
-    "start_metrics_server",
     "CausalTracer",
     "Effect",
     "Explainer",

@@ -20,8 +20,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from repro.errors import TopologyError
 
 NodeId = int
@@ -59,8 +57,7 @@ class Topology:
 
     Use :meth:`add_router` / :meth:`add_host` / :meth:`add_link` to
     build, then :meth:`validate` (or any consumer) to check
-    connectivity.  The directed view used by routing is exposed as
-    :meth:`directed_graph`.
+    connectivity.
     """
 
     name: str = "topology"
@@ -331,14 +328,6 @@ class Topology:
                     seen.add(neighbor)
                     frontier.append(neighbor)
         return len(seen) == len(self._kinds)
-
-    def directed_graph(self) -> nx.DiGraph:
-        """The directed cost graph consumed by the routing substrate."""
-        graph = nx.DiGraph(name=self.name)
-        graph.add_nodes_from(self.nodes)
-        for (a, b), cost in self._costs.items():
-            graph.add_edge(a, b, cost=cost)
-        return graph
 
     def copy(self, name: Optional[str] = None) -> "Topology":
         """Deep copy, optionally renamed (useful for per-run cost reassignment)."""

@@ -14,9 +14,9 @@ the ablation sweeps directly.
 
 from __future__ import annotations
 
+import itertools
 import math
-
-import networkx as nx
+import random
 
 from repro._rand import SeedLike, derive_rng, make_rng
 from repro.errors import TopologyError
@@ -56,17 +56,42 @@ def random_topology(
             f"{num_nodes} nodes"
         )
     rng = make_rng(seed)
+    return _first_connected(
+        lambda: _gnm_edges(num_nodes, num_links, rng.getrandbits(32)),
+        num_nodes, rng, name, randomize_costs, f"G({num_nodes}, {num_links})",
+    )
+
+
+def _gnm_edges(num_nodes: int, num_links: int, seed: int) -> list[tuple[int, int]]:
+    """networkx 3.x's ``gnm_random_graph(num_nodes, num_links, seed)`` as
+    sorted ``(low, high)`` edges, drawn the same way on the same
+    ``random.Random(seed)`` stream.  The complete graph takes no draw."""
+    if num_links == num_nodes * (num_nodes - 1) // 2:
+        return list(itertools.combinations(range(num_nodes), 2))
+    rng = random.Random(seed)
+    nodes = list(range(num_nodes))
+    edges = set()
+    while len(edges) < num_links:
+        u, v = rng.choice(nodes), rng.choice(nodes)
+        if u != v:
+            edges.add((u, v) if u < v else (v, u))
+    return sorted(edges)
+
+
+def _first_connected(draw, num_nodes: int, rng: random.Random, name: str,
+                     randomize_costs: bool, model: str) -> Topology:
+    """The topology of the first ``draw()`` edge list that connects all
+    of nodes ``0..num_nodes-1``, with uniform costs from ``rng``."""
     for _ in range(_MAX_ATTEMPTS):
-        graph = nx.gnm_random_graph(num_nodes, num_links, seed=rng.getrandbits(32))
-        if nx.is_connected(graph):
-            topology = Topology.from_links(sorted(graph.edges()), name=name)
+        topology = Topology.from_links(draw(), name=name)
+        # A node in no link is missing here, and leaves it disconnected.
+        if topology.num_nodes == num_nodes and topology.is_connected():
             if randomize_costs:
                 assign_uniform_costs(topology, seed=derive_rng(rng, "costs"))
             topology.validate()
             return topology
     raise TopologyError(
-        f"could not generate a connected G({num_nodes}, {num_links}) "
-        f"in {_MAX_ATTEMPTS} attempts"
+        f"could not generate a connected {model} in {_MAX_ATTEMPTS} attempts"
     )
 
 
@@ -101,11 +126,10 @@ def waxman_topology(
     if not (0 < alpha <= 1 and 0 < beta <= 1):
         raise TopologyError(f"Waxman parameters out of range: {alpha}, {beta}")
     rng = make_rng(seed)
-    for _ in range(_MAX_ATTEMPTS):
-        positions = {
-            node: (rng.random(), rng.random()) for node in range(num_nodes)
-        }
-        scale = beta * math.sqrt(2.0)
+    scale = beta * math.sqrt(2.0)
+
+    def draw() -> list:
+        positions = [(rng.random(), rng.random()) for _ in range(num_nodes)]
         edges = []
         for a in range(num_nodes):
             for b in range(a + 1, num_nodes):
@@ -114,17 +138,11 @@ def waxman_topology(
                 distance = math.hypot(ax - bx, ay - by)
                 if rng.random() < alpha * math.exp(-distance / scale):
                     edges.append((a, b))
-        graph = nx.Graph(edges)
-        graph.add_nodes_from(range(num_nodes))
-        if nx.is_connected(graph):
-            topology = Topology.from_links(edges, name=name)
-            if randomize_costs:
-                assign_uniform_costs(topology, seed=derive_rng(rng, "costs"))
-            topology.validate()
-            return topology
-    raise TopologyError(
-        f"could not generate a connected Waxman({num_nodes}, {alpha}, {beta}) "
-        f"in {_MAX_ATTEMPTS} attempts"
+        return edges
+
+    return _first_connected(
+        draw, num_nodes, rng, name, randomize_costs,
+        f"Waxman({num_nodes}, {alpha}, {beta})",
     )
 
 

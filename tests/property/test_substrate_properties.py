@@ -1,7 +1,6 @@
 """Property-based tests for the substrates: routing, engine, addresses,
 topology serialization."""
 
-import networkx as nx
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +10,7 @@ from repro.routing.analysis import path_cost
 from repro.routing.dijkstra import shortest_paths_from
 from repro.routing.tables import UnicastRouting
 from repro.topology.io import topology_from_dict, topology_to_dict
+from tests.oracles import networkx_distances
 from tests.property.strategies import connected_topologies
 
 COMMON = settings(max_examples=80, deadline=None,
@@ -21,11 +21,8 @@ class TestRoutingProperties:
     @COMMON
     @given(connected_topologies())
     def test_matches_networkx(self, topology):
-        graph = topology.directed_graph()
-        expected = nx.single_source_dijkstra_path_length(graph, 0,
-                                                         weight="cost")
         distance, _ = shortest_paths_from(topology, 0)
-        assert distance == expected
+        assert distance == networkx_distances(topology, 0)
 
     @COMMON
     @given(connected_topologies())

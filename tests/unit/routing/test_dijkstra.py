@@ -14,6 +14,7 @@ from repro.routing.dijkstra import (
     shortest_paths_from,
 )
 from repro.topology.model import Topology
+from tests.oracles import networkx_distances
 from tests.property.strategies import connected_topologies
 
 
@@ -109,15 +110,10 @@ class TestLargerGraphs:
         assert distance[9] == 9.0
 
     def test_matches_networkx_on_random_graph(self):
-        import networkx as nx
-
         from repro.topology.random_graphs import random_topology
 
         topology = random_topology(30, 60, seed=17)
-        graph = topology.directed_graph()
-        expected = nx.single_source_dijkstra_path_length(
-            graph, 0, weight="cost"
-        )
+        expected = networkx_distances(topology, 0)
         distance, _ = shortest_paths_from(topology, 0)
         assert distance == pytest.approx(expected)
 

@@ -1,5 +1,9 @@
 """Unit tests for the topology generators, costs and host attachment."""
 
+import hashlib
+import itertools
+import random
+
 import pytest
 
 from repro.errors import TopologyError
@@ -18,6 +22,8 @@ from repro.topology.isp import (
     isp_topology,
 )
 from repro.topology.random_graphs import (
+    _first_connected,
+    _gnm_edges,
     line_topology,
     random_topology,
     random_topology_50,
@@ -95,6 +101,82 @@ class TestRandomTopology:
     def test_too_many_links_rejected(self):
         with pytest.raises(TopologyError):
             random_topology(5, 11, seed=0)
+
+
+def links_digest(topology) -> str:
+    """sha256 of every link with both directed costs, by ``repr`` so
+    that an int cost and its float spelling differ."""
+    text = "".join(
+        f"{link.a} {link.b} {link.cost_ab!r} {link.cost_ba!r}\n"
+        for link in topology.links()
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGnmDraw:
+    """The seeded G(n, m) draw is networkx 3.x's ``gnm_random_graph`` on
+    the same ``random.Random(seed)`` stream, and a draw is kept exactly
+    when ``nx.is_connected`` keeps it."""
+
+    @pytest.mark.parametrize(("num_nodes", "num_links"), [(50, 215), (200, 600), (12, 11)])
+    def test_edges_match_networkx(self, num_nodes, num_links):
+        nx = pytest.importorskip("networkx")
+        for seed in range(200):
+            graph = nx.gnm_random_graph(num_nodes, num_links, seed=seed)
+            assert _gnm_edges(num_nodes, num_links, seed) == sorted(graph.edges())
+
+    @pytest.mark.parametrize(("num_nodes", "num_links", "min_rejected"), [
+        (50, 215, 0), (200, 600, 50), (12, 11, 1500),
+    ])
+    def test_connectivity_verdicts_match_networkx(
+        self, num_nodes, num_links, min_rejected
+    ):
+        # One verdict that differs from networkx's moves the seed stream
+        # of every later draw, so equal results mean equal verdicts.
+        nx = pytest.importorskip("networkx")
+        rejected = 0
+        for seed in range(200):
+            rng = random.Random(seed)
+            graph = nx.gnm_random_graph(num_nodes, num_links, seed=rng.getrandbits(32))
+            while not nx.is_connected(graph):
+                rejected += 1
+                graph = nx.gnm_random_graph(num_nodes, num_links, seed=rng.getrandbits(32))
+            topology = random_topology(num_nodes, num_links, seed=seed,
+                                       randomize_costs=False)
+            assert sorted(topology.undirected_edges()) == sorted(graph.edges())
+        # The sparse size checks mostly "disconnected" verdicts.
+        assert rejected >= min_rejected
+
+    def test_isolated_node_is_disconnected(self):
+        draws = iter([[(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3)]])
+        topology = _first_connected(lambda: next(draws), 4, random.Random(0),
+                                    name="draws", randomize_costs=False, model="test")
+        assert topology.num_links == 3
+
+    def test_complete_graph_when_every_link_is_asked_for(self):
+        topology = random_topology(6, 15, seed=0)
+        assert sorted(topology.undirected_edges()) == list(
+            itertools.combinations(range(6), 2)
+        )
+
+
+class TestPinnedDraws:
+    """Digests recorded while networkx drew these graphs: the paper's
+    random topology must not move, costs included."""
+
+    @pytest.mark.parametrize(("seed", "digest"), [
+        (1, "fb0ed113a60244eb0e94ee7105812802cf0b18fe4f75ad488fe4e8e8dbfe7505"),
+        (2, "dd9117deea43597f43c7d70a7178184efbee2fa668c3ffc78eb714c5a8838f29"),
+        (3, "de791b02da9be690d9ccf8320139c1d5c0038eed4a6c5b609da4066b015fe3ce"),
+    ])
+    def test_random50(self, seed, digest):
+        assert links_digest(random_topology_50(seed=seed)) == digest
+
+    def test_waxman(self):
+        topology = waxman_topology(40, alpha=0.4, beta=0.4, seed=11)
+        assert links_digest(topology) == (
+            "14c94f6b81078cafbc8ef3a2e42ee2943467abc09e87898eb0de380152a6aae0"
+        )
 
 
 class TestWaxman:

@@ -179,10 +179,11 @@ class TestValidation:
 
 class TestViewsAndCopy:
     def test_directed_graph_edges(self):
-        graph = small_topology().directed_graph()
-        assert graph.number_of_edges() == 4
-        assert graph[0][1]["cost"] == 2.0
-        assert graph[1][0]["cost"] == 3.0
+        # Two physical links, each carrying both of its directed costs.
+        assert small_topology().links() == [
+            LinkSpec(0, 1, 2.0, 3.0),
+            LinkSpec(1, 2, 1.0, 1.0),
+        ]
 
     def test_copy_is_deep(self):
         topology = small_topology()
